@@ -5,7 +5,9 @@ All SINR expressions are conditional on one channel realization. The MRC form
 (which also covers hard-cancellation MMSE from the second iteration onward)
 averages over symbol errors of known variance and over the dense Gaussian
 channel-estimation error; the soft-cancellation form takes the filter as
-given and holds only under perfect channel knowledge.
+given and holds only under perfect channel knowledge. Soft filters are built
+with the detectors' sub-channel primitive (channel.spreading_stack and
+channel.mmse_filters), so the analysis and the soft MMSE rows share one filter.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import DiscreteChannel
+from .channel import DiscreteChannel, mmse_filters, spreading_stack
 from .modem import Constellation
 
 __all__ = [
@@ -238,21 +240,6 @@ def sinr_upper_bound(
     return sinr_mrc(ch, errs, q).sinr
 
 
-def _spreading_stack(table: np.ndarray, lm: int, q_idx: np.ndarray) -> np.ndarray:
-    """stack[i, l, c] = g[l-(c-lm), (q_i+l) mod MN], zeros off the valid band."""
-    mn = table.shape[1]
-    rows = np.arange(lm + 1)
-    cols = np.arange(2 * lm + 1)
-    rprime = rows[:, None] - (cols[None, :] - lm)
-    valid = (rprime >= 0) & (rprime <= lm)
-    idx = (q_idx[:, None] + rows[None, :]) % mn  # (nq, rows)
-    gather = table[:, idx]  # (rows_src, nq, rows)
-    # out[l, c, i] = gather[rprime[l, c], i, l], then zero the invalid band
-    stack = gather[np.clip(rprime, 0, lm), :, rows[:, None]]
-    stack = stack * valid[:, :, None]
-    return stack.transpose(2, 0, 1)
-
-
 def sinr_soft(
     ch: DiscreteChannel, w_q: np.ndarray, errs: ErrorState, q: int
 ) -> SinrBreakdown:
@@ -263,9 +250,8 @@ def sinr_soft(
     """
     if errs.sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation SINR is only defined for exact CSI")
-    table = ch.gain_table()
     lm = ch.l_max
-    stack = _spreading_stack(table, lm, np.asarray([q]))[0]  # (rows, cols)
+    stack = spreading_stack(ch.gain_table(), np.asarray([q]))[0]  # (rows, cols)
     w = np.asarray(w_q, dtype=np.complex128)
     g_own = stack[:, lm]
     proj = w @ stack  # w g_{q,dl} for every offset
@@ -303,24 +289,17 @@ def soft_filters_uniform(
     """
     table = ch.gain_table()
     lm = ch.l_max
-    mn = ch.params.frame_len
     if q_idx is None:
-        q_idx = np.arange(mn)
+        q_idx = np.arange(ch.params.frame_len)
     v = np.full(2 * lm + 1, off_var)
     v[lm] = power
     w_out = np.empty((q_idx.shape[0], lm + 1), dtype=np.complex128)
     mu_out = np.empty(q_idx.shape[0])
     for start in range(0, q_idx.shape[0], chunk):
-        sel = q_idx[start : start + chunk]
-        stack = _spreading_stack(table, lm, sel)
-        a = np.einsum("njc,c,nkc->njk", stack, v, np.conj(stack))
-        a[:, np.arange(lm + 1), np.arange(lm + 1)] += sigma_z2
-        g_own = stack[:, :, lm]
-        y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]
-        w_out[start : start + len(sel)] = np.conj(y)
-        mu_out[start : start + len(sel)] = np.einsum(
-            "nj,nj->n", np.conj(y), g_own
-        ).real
+        sel = slice(start, start + chunk)
+        y, mu = mmse_filters(spreading_stack(table, q_idx[sel]), v, sigma_z2)
+        w_out[sel] = np.conj(y)
+        mu_out[sel] = mu
     return w_out, mu_out
 
 
@@ -343,12 +322,8 @@ def sinr_soft_profile(
     out = np.empty(mn)
     for start in range(0, mn, chunk):
         sel = np.arange(start, min(start + chunk, mn))
-        stack = _spreading_stack(table, lm, sel)
-        a = np.einsum("njc,c,nkc->njk", stack, v, np.conj(stack))
-        a[:, np.arange(lm + 1), np.arange(lm + 1)] += errs.sigma_z2
-        g_own = stack[:, :, lm]
-        y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]
-        w = np.conj(y)
+        stack = spreading_stack(table, sel)
+        w = np.conj(mmse_filters(stack, v, errs.sigma_z2)[0])
         proj2 = np.abs(np.einsum("nj,njc->nc", w, stack)) ** 2
         signal = errs.power * proj2[:, lm]
         ripn = (

@@ -3,7 +3,9 @@
 A channel realization is a set of on-grid paths (delay index, Doppler index,
 complex gain). The production receive path applies the channel sample by
 sample; a dense matrix builder and a delay-Doppler-domain reference output are
-kept as independent test oracles.
+kept as independent test oracles. The sub-channel around one symbol has a
+per-symbol oracle (subchannel) and the batched form the detectors and the
+analysis share (spreading_stack, with its MMSE solve mmse_filters).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,8 @@ __all__ = [
     "apply_channel",
     "full_matrix",
     "subchannel",
+    "spreading_stack",
+    "mmse_filters",
     "dd_reference_output",
     "serialize_paths",
     "deserialize_paths",
@@ -239,6 +243,47 @@ def subchannel(ch: DiscreteChannel, q: int) -> SubChannel:
             if (l - dl) in sup:
                 mat[l, c] = table[l - dl, (q + l) % mn]
     return SubChannel(matrix=mat, q=q, l_max=lm)
+
+
+def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
+    """Sub-channel matrices for many time indices at once.
+
+    gains is an (l_max+1, MN) tap-gain table; the result has shape
+    (len(q_idx), l_max+1, 2*l_max+1) with
+    stack[i, l, c] = gains[l-(c-l_max), (q_i+l) mod MN], zero where
+    l-(c-l_max) leaves 0..l_max. For a true channel, stack[i] equals
+    subchannel(ch, q_i).matrix.
+    """
+    lm = gains.shape[0] - 1
+    rows = np.arange(lm + 1, dtype=np.int64)
+    rprime = rows[:, None] - (np.arange(2 * lm + 1, dtype=np.int64)[None, :] - lm)
+    idx = (np.asarray(q_idx, dtype=np.int64)[None, :] + rows[:, None]) % gains.shape[1]
+    # gather[r', l, i] = gains[r', (q_i + l) mod MN]; stack[l, c, i] reads row r'
+    gather = gains[:, idx]
+    stack = gather[np.clip(rprime, 0, lm), rows[:, None], :]
+    stack *= ((rprime >= 0) & (rprime <= lm))[:, :, None]
+    return stack.transpose(2, 0, 1)
+
+
+def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
+    """Batched MMSE filters over a spreading stack.
+
+    For every G = stack[i] with own-symbol (middle) column g, returns
+    y = (G diag(v) G^H + sigma_z2 I)^{-1} g and mu = g^H y; the filter is
+    w = y^H. When sigma_z2 is zero the covariance can be rank-deficient once
+    the interferer variances reach zero, and the limiting filter uses the
+    pseudo-inverse.
+    """
+    a = np.einsum("njc,c,nkc->njk", stack, v, np.conj(stack))
+    diag = np.arange(stack.shape[1])
+    a[:, diag, diag] += sigma_z2
+    g_own = stack[:, :, stack.shape[2] // 2]
+    if sigma_z2 > 0:
+        y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]
+    else:
+        y = np.einsum("njk,nk->nj", np.linalg.pinv(a, hermitian=True), g_own)
+    mu = np.einsum("nj,nj->n", np.conj(y), g_own).real
+    return y, mu
 
 
 def dd_reference_output(ch: DiscreteChannel, grid: DDGrid) -> DDGrid:

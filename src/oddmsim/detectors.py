@@ -9,14 +9,16 @@ processed one at a time, the N symbols of a row are equalized in parallel,
 sliced in the DD domain, and the updated estimates are fed back into the
 running residual immediately. The residual vector e = r - G_hat @ s_hat is
 maintained incrementally; each symbol update touches only the received
-samples its delay taps reach.
+samples its delay taps reach. MMSE rows build their filters with the same
+sub-channel primitive as the soft-cancellation analysis
+(channel.spreading_stack and channel.mmse_filters).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from .channel import mmse_filters, spreading_stack
 from .modem import Constellation, DDGrid, TimeSequence
 from .pilot import EstimatedChannel
 
@@ -299,17 +301,9 @@ class _RowIndexCache:
     def __init__(self, est: EstimatedChannel):
         self.mn = est.params.frame_len
         self.n_delay = est.params.n_delay
-        self.n_doppler = est.params.n_doppler
         lm = est.l_max
         self.lm = lm
         self.sup = np.asarray(est.support, dtype=np.int64)
-        self.all_rows = np.arange(lm + 1, dtype=np.int64)
-        # sub-channel source rows: entry (j, c) reads tap row j - (c - lm)
-        j = self.all_rows[:, None]
-        c = np.arange(2 * lm + 1, dtype=np.int64)[None, :]
-        rprime = j - (c - lm)
-        self.col_valid = (rprime >= 0) & (rprime <= lm)
-        self.rprime = np.clip(rprime, 0, lm)
         self.offsets = np.arange(-lm, lm + 1, dtype=np.int64)
 
 
@@ -321,50 +315,37 @@ def _declare_row_vars(state, cache, m):
     return v
 
 
-def _process_row_mrc(state, cache, m, q_vec):
-    est = state.est
+def _support_taps(state, cache, q_vec):
+    """Received-sample indices and gains of the support taps of one row."""
     idx = (q_vec[None, :] + cache.sup[:, None]) % cache.mn
-    g_rows = est.gains[cache.sup[:, None], idx]
+    return idx, state.est.gains[cache.sup[:, None], idx]
+
+
+def _process_row_mrc(state, q_vec, idx, g_rows):
     branches = state.resid[idx] + g_rows * state.shat[q_vec][None, :]
     energy = np.sum(np.abs(g_rows) ** 2, axis=0)
     if np.any(energy == 0.0):
         raise ValueError("degenerate channel: all-zero spreading vector")
     s_tilde = np.sum(np.conj(g_rows) * branches, axis=0) / energy
-    return s_tilde, energy, idx, g_rows
+    return s_tilde, energy
 
 
-def _process_row_mmse(state, cache, m, q_vec, v_diag, sigma_z2):
-    est = state.est
-    idx = (q_vec[None, :] + cache.all_rows[:, None]) % cache.mn  # (rows, N)
-    gather = est.gains[:, idx]  # gather[r', j, nd] = gains[r', (q_nd + j) mod MN]
-    stack = gather[cache.rprime, cache.all_rows[:, None], :]  # (rows, cols, N)
-    stack *= cache.col_valid[:, :, None]
-    g_q = stack[:, cache.lm, :]  # own spreading vectors, (rows, N)
+def _process_row_mmse(state, cache, q_vec, v_diag, sigma_z2):
+    stack = spreading_stack(state.est.gains, q_vec)  # (N, rows, cols)
+    y, mu = mmse_filters(stack, v_diag, sigma_z2)
+    idx = (q_vec[None, :] + np.arange(cache.lm + 1)[:, None]) % cache.mn
+    g_q = stack[:, :, cache.lm].T  # own spreading vectors, (rows, N)
     branches = state.resid[idx] + g_q * state.shat[q_vec][None, :]
-    stack_t = stack.transpose(2, 0, 1)  # (N, rows, cols)
-    a = np.einsum("njc,c,nkc->njk", stack_t, v_diag, np.conj(stack_t))
-    r_count = cache.all_rows.shape[0]
-    a[:, np.arange(r_count), np.arange(r_count)] += sigma_z2
-    g_own = stack_t[:, :, cache.lm]  # (N, rows)
-    if sigma_z2 > 0:
-        y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]
-    else:
-        # noiseless limit: the covariance can be rank-deficient once scheduled
-        # variances reach zero; the limiting filter uses the pseudo-inverse
-        y = np.einsum("njk,nk->nj", np.linalg.pinv(a, hermitian=True), g_own)
-    mu = np.einsum("nj,nj->n", np.conj(y), g_own).real
     wr = np.einsum("nj,jn->n", np.conj(y), branches)
     s_tilde = wr / mu
     post_var = state.power * (1.0 - mu) / mu
     return s_tilde, mu, np.maximum(post_var, 0.0)
 
 
-def _feedback(state, cache, m, q_vec, new_time):
+def _feedback(state, q_vec, idx, g_rows, new_time):
     """Apply updated time-domain estimates and patch the running residual."""
     delta = new_time - state.shat[q_vec]
     state.shat[q_vec] = new_time
-    idx = (q_vec[None, :] + cache.sup[:, None]) % cache.mn
-    g_rows = state.est.gains[cache.sup[:, None], idx]
     state.resid[idx] -= g_rows * delta[None, :]
 
 
@@ -398,18 +379,19 @@ def run_iteration(
         if state.frozen_rows[m]:
             continue
         q_vec = np.arange(n, dtype=np.int64) * m_count + m
+        idx, g_rows = _support_taps(state, cache, q_vec)
 
         post_var = None
         if combine == "mrc":
-            s_tilde, norm, _, _ = _process_row_mrc(state, cache, m, q_vec)
+            s_tilde, norm = _process_row_mrc(state, q_vec, idx, g_rows)
         elif combine == "hard_scalar":
             # scalar-form MMSE filter, then /mu normalization; the two scale
             # factors cancel, so the normalized output coincides with MRC
-            s_tilde, norm, _, _ = _process_row_mrc(state, cache, m, q_vec)
+            s_tilde, norm = _process_row_mrc(state, q_vec, idx, g_rows)
         elif combine == "mmse":
             v_diag = _declare_row_vars(state, cache, m)
             s_tilde, mu, post_var = _process_row_mmse(
-                state, cache, m, q_vec, v_diag, sigma_z2
+                state, cache, q_vec, v_diag, sigma_z2
             )
             norm = mu
         else:
@@ -441,7 +423,7 @@ def run_iteration(
             state.row_var[m] = 0.0
 
         new_time = np.fft.ifft(feedback_dd, norm="ortho")
-        _feedback(state, cache, m, q_vec, new_time)
+        _feedback(state, q_vec, idx, g_rows, new_time)
         decision_idx[m] = decision
         if collect:
             equalized[q_vec] = s_tilde
@@ -492,89 +474,6 @@ def _count_bit_errors(constellation, dec_idx, true_idx, mask):
     return total
 
 
-_COMBINE_CODE = {"mrc": 0, "hard_scalar": 0, "mmse": 2}
-_SLICER_CODE = {"ml": 0, "dither": 1, "posterior": 2}
-
-
-def _run_plan_numpy(state, plan, constellation, sigma_z2, m_0, dither, collect):
-    cache = _RowIndexCache(state.est)
-    params = state.est.params
-    n_ite = len(plan)
-    decisions = np.zeros((n_ite, params.n_delay, params.n_doppler), dtype=np.int64)
-    shat_snaps = np.empty((n_ite, params.frame_len), dtype=np.complex128)
-    equalized = normalizer = None
-    if collect:
-        equalized = np.full((n_ite, params.frame_len), np.nan, dtype=np.complex128)
-        normalizer = np.full((n_ite, params.frame_len), np.nan)
-    for i, (combine, slicer) in enumerate(plan):
-        rec = run_iteration(
-            state,
-            combine,
-            slicer,
-            constellation,
-            sigma_z2,
-            m_0=m_0,
-            dither=dither[i] if dither is not None else None,
-            collect=collect,
-            cache=cache,
-        )
-        decisions[i] = rec.decision_idx
-        shat_snaps[i] = state.shat
-        if collect:
-            equalized[i] = rec.equalized
-            normalizer[i] = rec.normalizer
-    return decisions, shat_snaps, equalized, normalizer
-
-
-def _run_plan_numba(state, plan, constellation, sigma_z2, m_0, dither, collect):
-    params = state.est.params
-    est = state.est
-    n_ite = len(plan)
-    n = params.n_doppler
-    combine_plan = np.array([_COMBINE_CODE[c] for c, _ in plan], dtype=np.int64)
-    slicer_plan = np.array([_SLICER_CODE[s] for _, s in plan], dtype=np.int64)
-    if dither is None:
-        dither = np.zeros((n_ite, params.n_delay, n), dtype=np.complex128)
-    idx = np.arange(n)
-    fmat = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    decisions = np.zeros((n_ite, params.n_delay, n), dtype=np.int64)
-    if collect:
-        equalized = np.full((n_ite, params.frame_len), np.nan, dtype=np.complex128)
-        normalizer = np.full((n_ite, params.frame_len), np.nan)
-    else:
-        equalized = np.zeros((1, 1), dtype=np.complex128)
-        normalizer = np.zeros((1, 1))
-    shat_snaps = np.empty((n_ite, params.frame_len), dtype=np.complex128)
-    _kernels.detect_frame(
-        state.r,
-        est.gains,
-        np.asarray(est.support, dtype=np.int64),
-        params.n_delay,
-        n,
-        est.l_max,
-        combine_plan,
-        slicer_plan,
-        m_0,
-        sigma_z2,
-        state.power,
-        constellation.points,
-        np.ascontiguousarray(dither),
-        state.shat,
-        state.row_var,
-        state.frozen_rows,
-        fmat,
-        decisions,
-        equalized,
-        normalizer,
-        collect,
-        shat_snaps,
-    )
-    state.iteration += n_ite
-    if not collect:
-        equalized = normalizer = None
-    return decisions, shat_snaps, equalized, normalizer
-
-
 def run_detector(
     seq: TimeSequence,
     est: EstimatedChannel,
@@ -589,24 +488,21 @@ def run_detector(
     true_indices: np.ndarray | None = None,
     data_mask: np.ndarray | None = None,
     collect_equalized: bool = False,
-    backend: str = "auto",
 ) -> DetectionResult:
-    """Detect one frame.
+    """Detect one frame: run the detector's iteration plan, one run_iteration
+    sweep per iteration.
 
     Pilot/guard rows, when declared via known_rows/known_grid, are pinned to
     their transmitted values and excluded from estimation. Passing the true
     time sequence and/or true alphabet indices enables the per-iteration MSE
-    and bit-error traces. backend 'auto' uses the compiled kernel whenever the
-    noise variance is positive (the noiseless limit needs the pseudo-inverse
-    fallback of the numpy path).
+    and bit-error traces; collect_equalized keeps each sweep's pre-slicing
+    outputs and normalizers in records.
     """
     params = est.params
     if seq.params.frame_len != params.frame_len:
         raise ValueError("sequence and channel estimate sizes differ")
     if cfg.m_0 >= params.n_delay:
         raise ValueError("m_0 outside the delay axis")
-    if backend not in ("auto", "numpy", "numba"):
-        raise ValueError(f"unknown backend {backend!r}")
     power = constellation.power
 
     state = init_estimates(seq, est, cfg.resolved_init(), sigma_z2, power)
@@ -629,17 +525,28 @@ def run_detector(
         )
 
     plan = _iteration_plan(cfg)
-    use_numba = backend == "numba" or (
-        backend == "auto" and _kernels.HAVE_NUMBA and sigma_z2 > 0
-    )
-    runner = _run_plan_numba if use_numba else _run_plan_numpy
-    decisions_all, shat_snaps, equalized, normalizer = runner(
-        state, plan, constellation, sigma_z2, cfg.m_0, dither, collect_equalized
-    )
+    cache = _RowIndexCache(est)
+    records, shat_snaps = [], []
+    for i, (combine, slicer) in enumerate(plan):
+        records.append(
+            run_iteration(
+                state,
+                combine,
+                slicer,
+                constellation,
+                sigma_z2,
+                m_0=cfg.m_0,
+                dither=dither[i] if dither is not None else None,
+                collect=collect_equalized,
+                cache=cache,
+            )
+        )
+        shat_snaps.append(state.shat.copy())
 
     mse_trace = None
     if truth is not None:
-        mse_trace = np.mean(np.abs(shat_snaps - truth[None, :]) ** 2, axis=1)
+        errors = np.array(shat_snaps) - truth[None, :]
+        mse_trace = np.mean(np.abs(errors) ** 2, axis=1)
     bit_trace = None
     if true_indices is not None:
         mask = (
@@ -649,28 +556,22 @@ def run_detector(
         )
         bit_trace = np.array(
             [
-                _count_bit_errors(constellation, decisions_all[i], true_indices, mask)
-                for i in range(len(plan))
+                _count_bit_errors(constellation, rec.decision_idx, true_indices, mask)
+                for rec in records
             ]
         )
 
-    decision_idx = decisions_all[-1].copy()
+    decision_idx = records[-1].decision_idx.copy()
     if known_rows is not None and known_grid is not None:
         rows = np.flatnonzero(known_rows)
         if rows.size:
             decision_idx[rows] = constellation.nearest_index(known_grid[rows, :])
     decisions = DDGrid(constellation.points[decision_idx], params)
-    records = []
-    if collect_equalized:
-        records = [
-            IterationRecord(decisions_all[i], equalized[i], normalizer[i])
-            for i in range(len(plan))
-        ]
     return DetectionResult(
         decisions=decisions,
         index_grid=decision_idx,
         iterations=cfg.n_ite,
         mse_trace=mse_trace,
         bit_error_trace=bit_trace,
-        records=records,
+        records=records if collect_equalized else [],
     )

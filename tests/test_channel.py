@@ -1,4 +1,5 @@
-"""Channel sampling, tap gains, and the dense/DD-domain oracles."""
+"""Channel sampling, tap gains, the dense/DD-domain oracles, and the batched
+sub-channel primitive (spreading stack and MMSE filters)."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from oddmsim import (
     subchannel,
     time_to_dd,
 )
-from oddmsim.channel import DiscreteChannel, deserialize_paths, serialize_paths
+from oddmsim.channel import (
+    DiscreteChannel,
+    deserialize_paths,
+    mmse_filters,
+    serialize_paths,
+    spreading_stack,
+)
+from oddmsim.detectors import mmse_combine
 
 from conftest import PAPER_DELAY_RES
 
@@ -247,6 +255,51 @@ class TestSubChannel:
         ch, p = _small_channel()
         with pytest.raises(ValueError):
             subchannel(ch, p.frame_len)
+
+
+def _assert_stack_matches_oracle(ch, seed):
+    mn = ch.params.frame_len
+    lm = ch.l_max
+    rng = np.random.default_rng(seed)
+    # random indices plus every q whose taps wrap past the frame end
+    q_idx = np.concatenate([rng.integers(0, mn, 30), np.arange(mn - lm - 1, mn)])
+    stack = spreading_stack(ch.gain_table(), q_idx)
+    assert stack.shape == (q_idx.size, lm + 1, 2 * lm + 1)
+    for i, q in enumerate(q_idx):
+        np.testing.assert_array_equal(stack[i], subchannel(ch, int(q)).matrix)
+
+
+class TestSpreadingStack:
+    def test_matches_subchannel_on_desk_grid(self, desk_channel):
+        _assert_stack_matches_oracle(desk_channel, seed=30)
+
+    def test_matches_subchannel_on_odd_grid(self):
+        p = ModemParams(n_delay=7, n_doppler=5, max_delay=3)
+        prof = ChannelProfile(delays=(0, 2, 3), powers=(0.5, 0.3, 0.2), k_max=2)
+        ch = sample_channel(prof, p, np.random.default_rng(31))
+        _assert_stack_matches_oracle(ch, seed=32)
+
+
+class TestMmseFilters:
+    def test_matches_per_symbol_mmse_combine(self, desk_channel):
+        rng = np.random.default_rng(33)
+        mn = desk_channel.params.frame_len
+        lm = desk_channel.l_max
+        q_idx = np.concatenate([rng.integers(0, mn, 30), [mn - 1]])
+        stack = spreading_stack(desk_channel.gain_table(), q_idx)
+        for _ in range(4):
+            v = rng.uniform(0.0, 1.0, 2 * lm + 1)
+            v[lm] = rng.uniform(0.5, 2.0)
+            sz2 = rng.uniform(0.01, 1.0)
+            r_t = rng.standard_normal((q_idx.size, lm + 1)) + 1j * rng.standard_normal(
+                (q_idx.size, lm + 1)
+            )
+            y, mu = mmse_filters(stack, v, sz2)
+            for i, q in enumerate(q_idx):
+                sub = subchannel(desk_channel, int(q)).matrix
+                s_ref, mu_ref, _ = mmse_combine(r_t[i], sub, v, sz2)
+                assert abs(mu[i] - mu_ref) <= 1e-12
+                assert abs(np.vdot(y[i], r_t[i]) / mu[i] - s_ref) <= 1e-12
 
 
 class TestDDReference:

@@ -1,0 +1,32 @@
+"""The runtime dependencies declared in pyproject.toml are exactly the
+third-party modules the package imports."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _declared():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+
+
+def _imported():
+    mods = set()
+    for path in (ROOT / "src" / "oddmsim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                mods.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods.add(node.module.split(".")[0])
+    return {m for m in mods if m not in sys.stdlib_module_names and m != "oddmsim"}
+
+
+def test_declared_dependencies_match_imports():
+    assert _imported() == {"numpy", "scipy"}
+    assert _declared() == _imported()

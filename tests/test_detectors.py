@@ -1,7 +1,10 @@
-"""Detector ops, the shared engine, and backend equivalence."""
+"""Detector ops and the shared engine, including a property test of its
+running-residual invariant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmsim import (
     DDGrid,
@@ -13,8 +16,10 @@ from oddmsim import (
     run_detector,
     sample_channel,
 )
-from oddmsim.channel import DDPath, DiscreteChannel
+from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel
 from oddmsim.detectors import (
+    KINDS,
+    _iteration_plan,
     dd_posterior,
     dithered_ml_slice,
     init_estimates,
@@ -25,7 +30,7 @@ from oddmsim.detectors import (
     stack_branches,
 )
 from oddmsim.modem import ModemParams, TimeSequence
-from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel
+from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_channel
 from oddmsim.modem import time_to_dd
 
 
@@ -311,35 +316,6 @@ class TestEngine:
         )
         assert res.bit_error_trace[-1] == 0
 
-    @pytest.mark.parametrize(
-        "kind", ["mrc", "mrc_sd", "hard_sicmmse", "soft_sicmmse", "ssmi_mrc"]
-    )
-    def test_backends_agree(self, kind, desk_channel, desk_perfect, qam4):
-        params = desk_channel.params
-        rng = np.random.default_rng(16)
-        grid, seq = _frame(params, qam4, rng)
-        sz2 = 10 ** (-1.2)
-        received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-        results = {}
-        for backend in ("numpy", "numba"):
-            results[backend] = run_detector(
-                received,
-                desk_perfect,
-                DetectorConfig(kind=kind, n_ite=4),
-                qam4,
-                np.random.default_rng(17),
-                sigma_z2=sz2,
-                truth=seq.samples,
-                collect_equalized=True,
-                backend=backend,
-            )
-        a, b = results["numpy"], results["numba"]
-        np.testing.assert_array_equal(a.index_grid, b.index_grid)
-        np.testing.assert_allclose(a.mse_trace, b.mse_trace, rtol=0, atol=1e-12)
-        for ra, rb in zip(a.records, b.records):
-            np.testing.assert_allclose(ra.equalized, rb.equalized, atol=1e-10)
-            np.testing.assert_allclose(ra.normalizer, rb.normalizer, atol=1e-10)
-
     def test_second_iteration_hard_mmse_equals_mrc(
         self, desk_channel, desk_perfect, qam4
     ):
@@ -425,7 +401,7 @@ class TestEngine:
         grid, seq = _frame(params, qam4, rng)
         sz2 = 0.05
         received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-        kw = dict(sigma_z2=sz2, collect_equalized=True, backend="numpy")
+        kw = dict(sigma_z2=sz2, collect_equalized=True)
         res_ssmi = run_detector(
             received, desk_perfect, DetectorConfig(kind="ssmi_mrc", n_ite=1), qam4, rng, **kw
         )
@@ -456,4 +432,49 @@ class TestEngine:
                 qam4,
                 None,
                 sigma_z2=0.01,
+            )
+
+
+# every (combine, slicer) step some detector's plan uses
+PLAN_STEPS = sorted(
+    {step for kind in KINDS for step in _iteration_plan(DetectorConfig(kind, n_ite=2))}
+)
+TINY = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
+
+
+class TestResidualInvariant:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        steps=st.lists(st.sampled_from(PLAN_STEPS), min_size=1, max_size=4),
+        m_0=st.integers(0, TINY.n_delay - 1),
+        frozen=st.lists(st.booleans(), min_size=TINY.n_delay, max_size=TINY.n_delay),
+        init=st.sampled_from(["zeros", "freq_mmse"]),
+        estimated=st.booleans(),
+    )
+    def test_any_plan_keeps_resid_equal_to_r_minus_g_shat(
+        self, seed, steps, m_0, frozen, init, estimated
+    ):
+        rng = np.random.default_rng(seed)
+        qam4 = make_constellation(4)
+        prof = ChannelProfile(delays=(0, 1, 2), powers=(0.5, 0.3, 0.2), k_max=1)
+        ch = sample_channel(prof, TINY, rng)
+        if estimated:
+            est = perturb_channel(ch, 1e-3, rng)
+        else:
+            est = EstimatedChannel.from_true(ch)
+        _, seq = _frame(TINY, qam4, rng)
+        sz2 = 0.05
+        received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
+        state = init_estimates(received, est, init, sz2)
+        state.frozen_rows[:] = frozen
+        delta = DetectorConfig("mrc_sd").resolved_delta(qam4)
+        shape = (TINY.n_delay, TINY.n_doppler)
+        dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
+            -delta, delta, shape
+        )
+        for combine, slicer in steps:
+            run_iteration(state, combine, slicer, qam4, sz2, m_0=m_0, dither=dither)
+            np.testing.assert_allclose(
+                state.resid, _residual_oracle(state), rtol=0, atol=1e-10
             )
