@@ -12,6 +12,11 @@ maintained incrementally; each symbol update touches only the received
 samples its delay taps reach. MMSE rows build their filters with the same
 sub-channel primitive as the soft-cancellation analysis
 (channel.spreading_stack and channel.mmse_filters).
+
+Each kind is defined by one row of DETECTORS: its initializer, its first
+sweep and the sweep it repeats afterwards, a sweep being a (combine, slicer)
+pair. Hard SIC-MMSE is one MMSE sweep followed by MRC sweeps, since from the
+second iteration on its normalized filter output is exactly the MRC output.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +42,16 @@ __all__ = [
     "run_iteration",
 ]
 
-KINDS = ("mrc", "mrc_sd", "hard_sicmmse", "soft_sicmmse", "ssmi_mrc")
+# kind -> (initializer, first sweep, later sweeps); a sweep is (combine, slicer)
+DETECTORS = {
+    "mrc": ("freq_mmse", ("mrc", "ml"), ("mrc", "ml")),
+    "mrc_sd": ("freq_mmse", ("mrc", "dither"), ("mrc", "dither")),
+    "hard_sicmmse": ("zeros", ("mmse", "ml"), ("mrc", "ml")),
+    "soft_sicmmse": ("zeros", ("mmse", "posterior"), ("mmse", "posterior")),
+    "ssmi_mrc": ("zeros", ("mmse", "posterior"), ("mrc", "ml")),
+}
+KINDS = tuple(DETECTORS)
+SWEEPS = frozenset(sweep for _, *sweeps in DETECTORS.values() for sweep in sweeps)
 
 # default dither bound ratio d_min / delta_d for mrc_sd
 DITHER_RATIO = 9.4
@@ -48,15 +62,13 @@ class DetectorConfig:
     """Detector selection and iteration controls.
 
     delta_d defaults to d_min/9.4 (resolved against the constellation at run
-    time); init_mode defaults to freq_mmse for the MRC family and zeros for
-    the SIC-MMSE family.
+    time). The initializer and the sweeps come from the kind's DETECTORS row.
     """
 
     kind: str
     n_ite: int = 10
     m_0: int = 0
     delta_d: float | None = None
-    init_mode: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,13 +77,15 @@ class DetectorConfig:
             raise ValueError("n_ite must be at least 1")
         if self.m_0 < 0:
             raise ValueError("m_0 must be non-negative")
-        if self.init_mode not in (None, "zeros", "freq_mmse"):
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
 
-    def resolved_init(self) -> str:
-        if self.init_mode is not None:
-            return self.init_mode
-        return "freq_mmse" if self.kind in ("mrc", "mrc_sd") else "zeros"
+    @property
+    def initializer(self) -> str:
+        return DETECTORS[self.kind][0]
+
+    def plan(self) -> list:
+        """(combine, slicer) per iteration: the first sweep, then the later one."""
+        _, first, later = DETECTORS[self.kind]
+        return [first] + [later] * (self.n_ite - 1)
 
     def resolved_delta(self, constellation: Constellation) -> float:
         delta = self.delta_d
@@ -130,6 +144,7 @@ class DetectionResult:
     index_grid: np.ndarray
     iterations: int
     mse_trace: np.ndarray | None = None
+    mse_init: float | None = None  # MSE of the state the first sweep starts from
     bit_error_trace: np.ndarray | None = None
     records: list = field(default_factory=list)
 
@@ -295,30 +310,19 @@ def dd_posterior(value: complex, var: float, constellation: Constellation):
     return complex(means[0]), float(post_var[0])
 
 
-class _RowIndexCache:
-    """Precomputed gather indices for one (row set, frame) geometry."""
-
-    def __init__(self, est: EstimatedChannel):
-        self.mn = est.params.frame_len
-        self.n_delay = est.params.n_delay
-        lm = est.l_max
-        self.lm = lm
-        self.sup = np.asarray(est.support, dtype=np.int64)
-        self.offsets = np.arange(-lm, lm + 1, dtype=np.int64)
-
-
-def _declare_row_vars(state, cache, m):
+def _declare_row_vars(state, m):
     """Interferer variance per sub-channel column for the symbol row m."""
-    rows = (m + cache.offsets) % cache.n_delay
+    lm = state.est.l_max
+    rows = (m + np.arange(-lm, lm + 1)) % state.est.params.n_delay
     v = state.row_var[rows].copy()
-    v[cache.lm] = state.power  # own symbol carries full prior power
+    v[lm] = state.power  # own symbol carries full prior power
     return v
 
 
-def _support_taps(state, cache, q_vec):
+def _support_taps(state, sup, q_vec):
     """Received-sample indices and gains of the support taps of one row."""
-    idx = (q_vec[None, :] + cache.sup[:, None]) % cache.mn
-    return idx, state.est.gains[cache.sup[:, None], idx]
+    idx = (q_vec[None, :] + sup[:, None]) % state.est.params.frame_len
+    return idx, state.est.gains[sup[:, None], idx]
 
 
 def _process_row_mrc(state, q_vec, idx, g_rows):
@@ -330,11 +334,12 @@ def _process_row_mrc(state, q_vec, idx, g_rows):
     return s_tilde, energy
 
 
-def _process_row_mmse(state, cache, q_vec, v_diag, sigma_z2):
+def _process_row_mmse(state, q_vec, v_diag, sigma_z2):
+    lm = state.est.l_max
     stack = spreading_stack(state.est.gains, q_vec)  # (N, rows, cols)
     y, mu = mmse_filters(stack, v_diag, sigma_z2)
-    idx = (q_vec[None, :] + np.arange(cache.lm + 1)[:, None]) % cache.mn
-    g_q = stack[:, :, cache.lm].T  # own spreading vectors, (rows, N)
+    idx = (q_vec[None, :] + np.arange(lm + 1)[:, None]) % state.est.params.frame_len
+    g_q = stack[:, :, lm].T  # own spreading vectors, (rows, N)
     branches = state.resid[idx] + g_q * state.shat[q_vec][None, :]
     wr = np.einsum("nj,jn->n", np.conj(y), branches)
     s_tilde = wr / mu
@@ -358,44 +363,39 @@ def run_iteration(
     m_0: int = 0,
     dither: np.ndarray | None = None,
     collect: bool = False,
-    cache: _RowIndexCache | None = None,
 ) -> IterationRecord:
     """One full sweep over the delay rows under the cancellation schedule.
 
-    combine: 'mrc' | 'hard_scalar' | 'mmse'
+    combine: 'mrc' | 'mmse'
     slicer : 'ml' | 'dither' | 'posterior'
+
+    (combine, slicer) must be a sweep some kind in DETECTORS runs; 'dither'
+    needs the (M, N) dither grid of this sweep.
     """
-    if cache is None:
-        cache = _RowIndexCache(state.est)
+    if (combine, slicer) not in SWEEPS:
+        raise ValueError(f"no detector runs the sweep ({combine!r}, {slicer!r})")
+    if slicer == "dither" and dither is None:
+        raise ValueError("dither slicing needs a dither grid")
     params = state.est.params
     m_count, n = params.n_delay, params.n_doppler
+    sup = np.asarray(state.est.support, dtype=np.int64)
     pts = constellation.points
     decision_idx = np.zeros((m_count, n), dtype=np.int64)
-    equalized = np.full(cache.mn, np.nan, dtype=np.complex128) if collect else None
-    normalizer = np.full(cache.mn, np.nan) if collect else None
+    equalized = np.full(params.frame_len, np.nan, dtype=np.complex128) if collect else None
+    normalizer = np.full(params.frame_len, np.nan) if collect else None
 
     for dm in range(m_count):
         m = (m_0 + dm) % m_count
         if state.frozen_rows[m]:
             continue
         q_vec = np.arange(n, dtype=np.int64) * m_count + m
-        idx, g_rows = _support_taps(state, cache, q_vec)
+        idx, g_rows = _support_taps(state, sup, q_vec)
 
-        post_var = None
         if combine == "mrc":
             s_tilde, norm = _process_row_mrc(state, q_vec, idx, g_rows)
-        elif combine == "hard_scalar":
-            # scalar-form MMSE filter, then /mu normalization; the two scale
-            # factors cancel, so the normalized output coincides with MRC
-            s_tilde, norm = _process_row_mrc(state, q_vec, idx, g_rows)
-        elif combine == "mmse":
-            v_diag = _declare_row_vars(state, cache, m)
-            s_tilde, mu, post_var = _process_row_mmse(
-                state, cache, q_vec, v_diag, sigma_z2
-            )
-            norm = mu
         else:
-            raise ValueError(f"unknown combine mode {combine!r}")
+            v_diag = _declare_row_vars(state, m)
+            s_tilde, norm, post_var = _process_row_mmse(state, q_vec, v_diag, sigma_z2)
 
         x_tilde = np.fft.fft(s_tilde, norm="ortho")
         nearest = constellation.nearest_index(x_tilde)
@@ -407,16 +407,12 @@ def run_iteration(
             d = dither[m]
             decision = constellation.nearest_index(x_tilde + d)
             feedback_dd = pts[decision] - d
-        elif slicer == "posterior":
-            if post_var is None:
-                raise ValueError("posterior slicing requires the mmse combiner")
+        else:
             var_dd = float(np.mean(post_var))
             means, pvars = _posterior_batch(x_tilde, var_dd, constellation)
             decision = nearest
             feedback_dd = means
             state.row_var[m] = float(np.mean(pvars))
-        else:
-            raise ValueError(f"unknown slicer {slicer!r}")
 
         if combine == "mmse" and slicer != "posterior":
             # hard-decision cancellation: row treated as perfectly cancelled
@@ -431,23 +427,6 @@ def run_iteration(
 
     state.iteration += 1
     return IterationRecord(decision_idx, equalized, normalizer)
-
-
-def _iteration_plan(cfg: DetectorConfig):
-    """(combine, slicer) per iteration for each detector kind."""
-    plan = []
-    for i in range(cfg.n_ite):
-        if cfg.kind == "mrc":
-            plan.append(("mrc", "ml"))
-        elif cfg.kind == "mrc_sd":
-            plan.append(("mrc", "dither"))
-        elif cfg.kind == "hard_sicmmse":
-            plan.append(("mmse", "ml") if i == 0 else ("hard_scalar", "ml"))
-        elif cfg.kind == "soft_sicmmse":
-            plan.append(("mmse", "posterior"))
-        elif cfg.kind == "ssmi_mrc":
-            plan.append(("mmse", "posterior") if i == 0 else ("mrc", "ml"))
-    return plan
 
 
 def _apply_known_rows(state, known_rows, known_grid):
@@ -495,8 +474,8 @@ def run_detector(
     Pilot/guard rows, when declared via known_rows/known_grid, are pinned to
     their transmitted values and excluded from estimation. Passing the true
     time sequence and/or true alphabet indices enables the per-iteration MSE
-    and bit-error traces; collect_equalized keeps each sweep's pre-slicing
-    outputs and normalizers in records.
+    (plus the starting state's MSE) and bit-error traces; collect_equalized
+    keeps each sweep's pre-slicing outputs and normalizers in records.
     """
     params = est.params
     if seq.params.frame_len != params.frame_len:
@@ -505,7 +484,7 @@ def run_detector(
         raise ValueError("m_0 outside the delay axis")
     power = constellation.power
 
-    state = init_estimates(seq, est, cfg.resolved_init(), sigma_z2, power)
+    state = init_estimates(seq, est, cfg.initializer, sigma_z2, power)
     if known_rows is not None:
         _apply_known_rows(state, known_rows, known_grid)
         if data_mask is None:
@@ -514,19 +493,22 @@ def run_detector(
                 (params.n_delay, params.n_doppler),
             )
 
+    plan = cfg.plan()
     dither = None
-    if cfg.kind == "mrc_sd":
+    if any(slicer == "dither" for _, slicer in plan):
         delta = cfg.resolved_delta(constellation)
         if rng is None:
-            raise ValueError("mrc_sd requires an rng for the dither stream")
+            raise ValueError(f"{cfg.kind} requires an rng for the dither stream")
         shape = (cfg.n_ite, params.n_delay, params.n_doppler)
         dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
             -delta, delta, shape
         )
 
-    plan = _iteration_plan(cfg)
-    cache = _RowIndexCache(est)
-    records, shat_snaps = [], []
+    def shat_mse():
+        return float(np.mean(np.abs(state.shat - truth) ** 2))
+
+    mse = [shat_mse()] if truth is not None else None
+    records = []
     for i, (combine, slicer) in enumerate(plan):
         records.append(
             run_iteration(
@@ -538,15 +520,11 @@ def run_detector(
                 m_0=cfg.m_0,
                 dither=dither[i] if dither is not None else None,
                 collect=collect_equalized,
-                cache=cache,
             )
         )
-        shat_snaps.append(state.shat.copy())
+        if mse is not None:
+            mse.append(shat_mse())
 
-    mse_trace = None
-    if truth is not None:
-        errors = np.array(shat_snaps) - truth[None, :]
-        mse_trace = np.mean(np.abs(errors) ** 2, axis=1)
     bit_trace = None
     if true_indices is not None:
         mask = (
@@ -571,7 +549,8 @@ def run_detector(
         decisions=decisions,
         index_grid=decision_idx,
         iterations=cfg.n_ite,
-        mse_trace=mse_trace,
+        mse_trace=np.array(mse[1:]) if mse is not None else None,
+        mse_init=mse[0] if mse is not None else None,
         bit_error_trace=bit_trace,
         records=records if collect_equalized else [],
     )

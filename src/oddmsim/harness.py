@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis
 from .channel import ChannelProfile, apply_channel, eva_profile, sample_channel
-from .detectors import DetectorConfig, init_estimates, run_detector
+from .detectors import KINDS, DetectorConfig, run_detector
 from .modem import DDGrid, ModemParams, dd_to_time, make_constellation, time_to_dd
 from .pilot import (
     EstimatedChannel,
@@ -83,6 +83,22 @@ class SimConfig:
             raise ValueError(f"unknown pilot mode {self.pilot_mode!r}")
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
             raise ValueError(f"pilot mode {self.pilot_mode!r} needs snr_pilot_db")
+        for kind in self.detectors:
+            if kind not in KINDS:
+                known = ", ".join(KINDS)
+                raise ValueError(f"unknown detector {kind!r} (known: {known})")
+
+    @property
+    def sigma_dg2(self) -> float:
+        """Channel-estimate error variance implied by the pilot mode."""
+        if self.pilot_mode == "perfect_csi":
+            return 0.0
+        return 10.0 ** (-self.snr_pilot_db / 10.0)
+
+    def link(self, snr_db: float):
+        """(constellation, noise variance sigma_z^2) at one SNR point."""
+        const = make_constellation(self.qam)
+        return const, const.power * 10.0 ** (-snr_db / 10.0)
 
     def detector_config(self, kind: str) -> DetectorConfig:
         const = make_constellation(self.qam)
@@ -238,29 +254,33 @@ def _frame_rng(cfg: SimConfig, point_idx: int, frame_idx: int, role: int):
     return np.random.default_rng(seq)
 
 
+def _pilot_config(cfg: SimConfig, sigma_z2: float) -> PilotConfig:
+    """Embedded pilot sized for cfg.snr_pilot_db at noise variance sigma_z2."""
+    params = cfg.params
+    amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
+    return PilotConfig(amplitude=amp, max_delay=params.max_delay)
+
+
 def _frame_layout(cfg: SimConfig, sigma_z2: float):
     """Pilot config, data mask, and known-row descriptors for one frame."""
     params = cfg.params
     if cfg.pilot_mode != "estimated":
-        return None, None, None, None
-    amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
-    pcfg = PilotConfig(amplitude=amp, max_delay=params.max_delay)
-    mask = pcfg.data_mask(params)
+        return None, None, None
+    pcfg = _pilot_config(cfg, sigma_z2)
     known_rows = np.zeros(params.n_delay, dtype=bool)
     known_rows[pcfg.guard_rows(params)] = True
-    return pcfg, mask, known_rows, amp
+    return pcfg, pcfg.data_mask(params), known_rows
 
 
 def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_idx: int):
     """Simulate one frame; returns (bit_errors, data_bits, frame_error)."""
     params = cfg.params
-    const = make_constellation(cfg.qam)
-    sigma_z2 = const.power * 10.0 ** (-snr_db / 10.0)
+    const, sigma_z2 = cfg.link(snr_db)
     rng = _frame_rng(cfg, point_idx, frame_idx, _ROLE_FRAME)
     det_rng = _frame_rng(cfg, point_idx, frame_idx, _ROLE_DETECTOR)
 
     ch = sample_channel(cfg.profile, params, rng)
-    pcfg, data_mask, known_rows, _ = _frame_layout(cfg, sigma_z2)
+    pcfg, data_mask, known_rows = _frame_layout(cfg, sigma_z2)
     if pcfg is None:
         n_data = params.frame_len
     else:
@@ -279,8 +299,7 @@ def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_i
     if cfg.pilot_mode == "perfect_csi":
         est = EstimatedChannel.from_true(ch)
     elif cfg.pilot_mode == "synthetic":
-        sigma_dg2 = 10.0 ** (-cfg.snr_pilot_db / 10.0)
-        est = perturb_channel(ch, sigma_dg2 / params.n_doppler, rng)
+        est = perturb_channel(ch, cfg.sigma_dg2 / params.n_doppler, rng)
     else:
         est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sigma_z2)
 
@@ -368,13 +387,8 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     if cfg.pilot_mode == "estimated":
         raise ValueError("sinr mode uses perfect_csi or synthetic pilot modes")
     params = cfg.params
-    const = make_constellation(cfg.qam)
-    sigma_z2 = const.power * 10.0 ** (-snr_db / 10.0)
-    sigma_dg2 = (
-        0.0
-        if cfg.pilot_mode == "perfect_csi"
-        else 10.0 ** (-cfg.snr_pilot_db / 10.0)
-    )
+    const, sigma_z2 = cfg.link(snr_db)
+    sigma_dg2 = cfg.sigma_dg2
     if kind == "soft_sicmmse" and sigma_dg2 > 0:
         raise ValueError("soft-cancellation SINR analysis requires perfect CSI")
 
@@ -400,10 +414,6 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
             est = perturb_channel(ch, sigma_dg2 / params.n_doppler, rng)
         else:
             est = EstimatedChannel.from_true(ch)
-        init_state = init_estimates(
-            received, est, dcfg.resolved_init(), sigma_z2, const.power
-        )
-        init_mse_acc += analysis.measure_mse(init_state.shat, seq.samples)
         res = run_detector(
             received,
             est,
@@ -414,6 +424,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
             truth=seq.samples,
             collect_equalized=True,
         )
+        init_mse_acc += res.mse_init
         mse_acc += res.mse_trace
         for i, rec in enumerate(res.records):
             psi, eta = analysis.decompose_equalized(
@@ -462,13 +473,8 @@ _EVOLVE_KIND = {
 def evolve_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     """State-evolution trace averaged over evolve_chans channel draws."""
     params = cfg.params
-    const = make_constellation(cfg.qam)
-    sigma_z2 = const.power * 10.0 ** (-snr_db / 10.0)
-    sigma_dg2 = (
-        0.0
-        if cfg.pilot_mode == "perfect_csi"
-        else 10.0 ** (-cfg.snr_pilot_db / 10.0)
-    )
+    const, sigma_z2 = cfg.link(snr_db)
+    sigma_dg2 = cfg.sigma_dg2
     traces = []
     for c in range(cfg.evolve_chans):
         rng = _frame_rng(cfg, point_idx, c, _ROLE_CHANNEL)
@@ -493,10 +499,8 @@ def evolve_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
 def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     """Empirical vs predicted estimation-error variances (DD and time domain)."""
     params = cfg.params
-    const = make_constellation(cfg.qam)
-    sigma_z2 = const.power * 10.0 ** (-snr_db / 10.0)
-    amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
-    pcfg = PilotConfig(amplitude=amp, max_delay=params.max_delay)
+    _, sigma_z2 = cfg.link(snr_db)
+    pcfg = _pilot_config(cfg, sigma_z2)
     data = np.zeros(pcfg.data_cell_count(params), dtype=np.complex128)
     dh_acc = 0.0
     dg_acc = 0.0

@@ -121,12 +121,13 @@ def test_criterion_4_hard_mmse_equals_mrc_from_second_iteration():
         est = o.EstimatedChannel.from_true(ch)
         _, seq = _random_frame(params, rng)
         received = o.apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
-        state = init_estimates(received, est, "zeros", sz2)
+        hard = o.run_detector(
+            received, est, o.DetectorConfig("hard_sicmmse", n_ite=2), QAM4, sigma_z2=sz2
+        )
+        state = init_estimates(received, est, "zeros", sz2, QAM4.power)
         run_iteration(state, "mmse", "ml", QAM4, sz2)
-        s_a, s_b = state.copy(), state.copy()
-        rec_mrc = run_iteration(s_a, "mrc", "ml", QAM4, sz2)
-        rec_hard = run_iteration(s_b, "hard_scalar", "ml", QAM4, sz2)
-        assert np.array_equal(rec_mrc.decision_idx, rec_hard.decision_idx)
+        rec_mrc = run_iteration(state.copy(), "mrc", "ml", QAM4, sz2)
+        assert np.array_equal(hard.index_grid, rec_mrc.decision_idx)
         for q in rng.integers(0, params.frame_len, 5):
             branches = stack_branches(state, int(q))
             ls = np.arange(est.l_max + 1)

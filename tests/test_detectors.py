@@ -1,5 +1,9 @@
 """Detector ops and the shared engine, including a property test of its
-running-residual invariant."""
+running-residual invariant and the engine surface perfbench/tracing.py wraps."""
+
+import importlib.util
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,12 @@ from oddmsim import (
     run_detector,
     sample_channel,
 )
+from oddmsim import analysis, detectors, harness
 from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel
 from oddmsim.detectors import (
+    DETECTORS,
     KINDS,
-    _iteration_plan,
+    SWEEPS,
     dd_posterior,
     dithered_ml_slice,
     init_estimates,
@@ -316,37 +322,6 @@ class TestEngine:
         )
         assert res.bit_error_trace[-1] == 0
 
-    def test_second_iteration_hard_mmse_equals_mrc(
-        self, desk_channel, desk_perfect, qam4
-    ):
-        # shared post-first-iteration state: identical decisions, and the raw
-        # filter outputs differ by a positive real scale
-        params = desk_channel.params
-        rng = np.random.default_rng(18)
-        sz2 = 10 ** (-1.4)
-        for trial in range(5):
-            grid, seq = _frame(params, qam4, rng)
-            received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-            state = init_estimates(received, desk_perfect, "zeros", sz2)
-            run_iteration(state, "mmse", "ml", qam4, sz2)
-            s_mrc = state.copy()
-            s_hard = state.copy()
-            rec_mrc = run_iteration(s_mrc, "mrc", "ml", qam4, sz2)
-            rec_hard = run_iteration(s_hard, "hard_scalar", "ml", qam4, sz2)
-            np.testing.assert_array_equal(rec_mrc.decision_idx, rec_hard.decision_idx)
-            # op-level collinearity of the unnormalized outputs
-            for q in rng.integers(0, params.frame_len, 20):
-                branches = stack_branches(state, int(q))
-                ls = np.arange(desk_perfect.l_max + 1)
-                idx = (int(q) + ls) % params.frame_len
-                g_q = desk_perfect.gains[ls, idx]
-                v = np.vdot(g_q, g_q).real
-                raw_mrc = np.vdot(g_q, branches) / v
-                raw_hard = np.vdot(g_q, branches) / (v + sz2)
-                ratio = raw_hard / raw_mrc
-                assert abs(ratio.imag) <= 1e-10
-                assert ratio.real > 0
-
     def test_pilot_frame_rows_stay_pinned(self, desk_channel, qam4):
         params = desk_channel.params
         rng = np.random.default_rng(19)
@@ -435,10 +410,68 @@ class TestEngine:
             )
 
 
+class TestDetectorTable:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plan_is_first_sweep_then_later_sweeps(self, kind):
+        init, first, later = DETECTORS[kind]
+        cfg = DetectorConfig(kind, n_ite=4)
+        assert cfg.initializer == init
+        assert cfg.plan() == [first, later, later, later]
+        assert DetectorConfig(kind, n_ite=1).plan() == [first]
+
+    @pytest.mark.parametrize(
+        "combine, slicer",
+        [("bogus", "ml"), ("mrc", "nonsense"), ("mrc", "posterior"), ("hard_scalar", "ml")],
+    )
+    def test_unknown_sweep_rejected_before_any_row(
+        self, combine, slicer, desk_params, desk_perfect, qam4
+    ):
+        _, seq = _frame(desk_params, qam4, np.random.default_rng(23))
+        state = init_estimates(seq, desk_perfect, "zeros", 0.1)
+        state.frozen_rows[:] = True
+        with pytest.raises(ValueError, match="sweep"):
+            run_iteration(state, combine, slicer, qam4, 0.1)
+        assert state.iteration == 0
+
+    def test_dither_sweep_needs_dither_grid(self, desk_params, desk_perfect, qam4):
+        _, seq = _frame(desk_params, qam4, np.random.default_rng(24))
+        state = init_estimates(seq, desk_perfect, "zeros", 0.1)
+        with pytest.raises(ValueError, match="dither"):
+            run_iteration(state, "mrc", "dither", qam4, 0.1)
+        assert state.iteration == 0
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestTracingContract:
+    """The names and signatures perfbench/tracing.py wraps from outside."""
+
+    def test_traced_names_resolve(self):
+        tracing = _load_tracing()
+        modules = {"harness": harness, "detectors": detectors, "analysis": analysis}
+        for mod_name, names in tracing.TRACED.items():
+            for name in names:
+                assert callable(getattr(modules[mod_name], name)), (mod_name, name)
+
+    def test_run_iteration_leads_with_state_and_combine(self):
+        params = list(inspect.signature(run_iteration).parameters)
+        assert params[:2] == ["state", "combine"]
+
+    def test_every_planned_combine_is_classified(self):
+        tracing = _load_tracing()
+        for kind in KINDS:
+            for combine, _ in DetectorConfig(kind, n_ite=2).plan():
+                assert combine == "mmse" or combine in tracing.MRC_COMBINES
+
+
 # every (combine, slicer) step some detector's plan uses
-PLAN_STEPS = sorted(
-    {step for kind in KINDS for step in _iteration_plan(DetectorConfig(kind, n_ite=2))}
-)
+PLAN_STEPS = sorted(SWEEPS)
 TINY = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
 
 

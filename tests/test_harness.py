@@ -72,6 +72,10 @@ class TestConfigParsing:
         assert cfg.max_frames == 99
         assert cfg.seed == 77
 
+    def test_unknown_detector_rejected_at_config_time(self):
+        with pytest.raises(ValueError, match="'mrcc'"):
+            h.apply_config_text(h.desk_preset(), "detector = mrc, mrcc\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             h.apply_config_text(h.desk_preset(), "bogus = 1\n")
