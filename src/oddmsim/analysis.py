@@ -1,13 +1,15 @@
-"""Closed-form post-equalization SINR, its upper bound, empirical SINR/MSE
-extraction, and state-evolution BER prediction.
+"""Closed-form post-equalization SINR, empirical SINR extraction, and
+state-evolution BER prediction.
 
-All SINR expressions are conditional on one channel realization. The MRC form
-(which also covers hard-cancellation MMSE from the second iteration onward)
-averages over symbol errors of known variance and over the dense Gaussian
-channel-estimation error; the soft-cancellation form takes the filter as
-given and holds only under perfect channel knowledge. Soft filters are built
-with the detectors' sub-channel primitive (channel.spreading_stack and
-channel.mmse_filters), so the analysis and the soft MMSE rows share one filter.
+All SINR expressions are conditional on one channel realization and are
+evaluated for every symbol index q at once. The MRC form (which also covers
+hard-cancellation MMSE from the second iteration onward) averages over symbol
+errors of known variance and over the dense Gaussian channel-estimation
+error; with both symbol-error variances at zero it is the ideal-cancellation
+upper bound shared by all detectors. The soft-cancellation form holds only
+under perfect channel knowledge. Soft filters are built with the detectors'
+sub-channel primitive (channel.spreading_stack and channel.mmse_filters), so
+the analysis and the soft MMSE rows share one filter.
 """
 
 from dataclasses import dataclass
@@ -20,25 +22,20 @@ from .modem import Constellation
 
 __all__ = [
     "ErrorState",
-    "SinrBreakdown",
     "EvolutionTrace",
     "ChannelMoments",
     "channel_moments",
-    "sinr_mrc",
     "sinr_mrc_profile",
-    "sinr_soft",
     "sinr_soft_profile",
-    "soft_filters_uniform",
-    "sinr_upper_bound",
     "mrc_sd_sinr_bound",
     "ser_union_bound",
     "state_evolution",
-    "measure_mse",
-    "measure_sinr",
     "decompose_equalized",
+    "sinr_from_powers",
 ]
 
 SINR_CAP_DB = 300.0
+_CHUNK = 2048  # symbols per batched soft-filter solve
 
 
 @dataclass(frozen=True)
@@ -62,23 +59,6 @@ class ErrorState:
                 raise ValueError(f"{name} must be non-negative")
         if max(self.sigma_e2_cur, self.sigma_e2_prev) > self.power * (1 + 1e-9):
             raise ValueError("symbol-error variance cannot exceed the symbol power")
-
-
-@dataclass
-class SinrBreakdown:
-    """Signal and residual-interference-plus-noise powers for one symbol."""
-
-    signal_power: float
-    ripn_power: float
-    terms: dict
-
-    @property
-    def sinr(self) -> float:
-        return self.signal_power / self.ripn_power
-
-    @property
-    def sinr_db(self) -> float:
-        return 10.0 * np.log10(self.sinr)
 
 
 @dataclass
@@ -169,8 +149,18 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
     )
 
 
-def _mrc_terms(mom: ChannelMoments, errs: ErrorState):
-    """Vectorized signal/RIPN powers over all q (MRC closed form)."""
+def sinr_mrc_profile(
+    ch: DiscreteChannel, errs: ErrorState, mom: ChannelMoments | None = None
+) -> np.ndarray:
+    """Linear post-equalization SINR of MRC for every symbol index q.
+
+    Also the SINR of hard-cancellation MMSE from the second iteration onward
+    (the two outputs differ only by a positive scale). With both symbol-error
+    variances at zero it is the ideal-cancellation upper bound shared by MRC
+    and both MMSE variants. mom, when given, must be channel_moments(ch).
+    """
+    if mom is None:
+        mom = channel_moments(ch)
     lm = mom.l_max
     lm1 = lm + 1
     quart = lm * lm + 3 * lm + 2  # (l_max+1)(l_max+2)
@@ -196,120 +186,19 @@ def _mrc_terms(mom: ChannelMoments, errs: ErrorState):
     ) * np.ones_like(a)
     t3 = pt * dg2 * a
     t4 = pt * quart * dg2**2 * np.ones_like(a)
-    return signal, t1, t2, t3, t4
-
-
-def sinr_mrc(ch: DiscreteChannel, errs: ErrorState, q: int) -> SinrBreakdown:
-    """Closed-form post-equalization SINR of MRC at symbol q.
-
-    Also the SINR of hard-cancellation MMSE from the second iteration onward
-    (the two outputs differ only by a positive scale).
-    """
-    mom = channel_moments(ch)
-    signal, t1, t2, t3, t4 = _mrc_terms(mom, errs)
-    return SinrBreakdown(
-        signal_power=float(signal[q]),
-        ripn_power=float(t1[q] + t2[q] + t3[q] + t4[q]),
-        terms={
-            "gz": float(t1[q]),
-            "dgz": float(t2[q]),
-            "gdg": float(t3[q]),
-            "dgdg": float(t4[q]),
-        },
-    )
-
-
-def sinr_mrc_profile(
-    ch: DiscreteChannel, errs: ErrorState, mom: ChannelMoments | None = None
-) -> np.ndarray:
-    """Linear SINR for every symbol index (vectorized MRC closed form)."""
-    if mom is None:
-        mom = channel_moments(ch)
-    signal, t1, t2, t3, t4 = _mrc_terms(mom, errs)
     return signal / (t1 + t2 + t3 + t4)
 
 
-def sinr_upper_bound(
-    ch: DiscreteChannel, sigma_dg2: float, q: int, sigma_z2: float, power: float = 1.0
-) -> float:
-    """SINR under ideal cancellation (both symbol-error variances zero).
-
-    Shared bound for MRC and both MMSE variants.
-    """
-    errs = ErrorState(0.0, 0.0, sigma_dg2, power, sigma_z2)
-    return sinr_mrc(ch, errs, q).sinr
-
-
-def sinr_soft(
-    ch: DiscreteChannel, w_q: np.ndarray, errs: ErrorState, q: int
-) -> SinrBreakdown:
-    """Post-equalization SINR of soft-cancellation MMSE with a given filter.
-
-    Valid only under perfect channel knowledge; a nonzero sigma_dg2 in the
-    error state is rejected.
-    """
-    if errs.sigma_dg2 != 0.0:
-        raise ValueError("soft-cancellation SINR is only defined for exact CSI")
-    lm = ch.l_max
-    stack = spreading_stack(ch.gain_table(), np.asarray([q]))[0]  # (rows, cols)
-    w = np.asarray(w_q, dtype=np.complex128)
-    g_own = stack[:, lm]
-    proj = w @ stack  # w g_{q,dl} for every offset
-    proj2 = np.abs(proj) ** 2
-    signal = errs.power * abs(w @ g_own) ** 2
-    ripn = (
-        errs.sigma_z2 * float(np.vdot(w, w).real)
-        + errs.sigma_e2_cur * float(proj2[:lm].sum())
-        + errs.sigma_e2_prev * float(proj2[lm + 1 :].sum())
-    )
-    return SinrBreakdown(
-        signal_power=float(signal),
-        ripn_power=float(ripn),
-        terms={
-            "noise": errs.sigma_z2 * float(np.vdot(w, w).real),
-            "isi_cur": errs.sigma_e2_cur * float(proj2[:lm].sum()),
-            "isi_prev": errs.sigma_e2_prev * float(proj2[lm + 1 :].sum()),
-        },
-    )
-
-
-def soft_filters_uniform(
-    ch: DiscreteChannel,
-    off_var: float,
-    sigma_z2: float,
-    power: float = 1.0,
-    q_idx: np.ndarray | None = None,
-    chunk: int = 2048,
-):
-    """Soft MMSE filters for every q with one shared interferer variance.
-
-    Returns (w, mu) with w of shape (nq, l_max+1). The covariance uses
-    off_var on every interferer column and the full symbol power on the own
-    column, the mean-field choice used by the state evolution.
-    """
-    table = ch.gain_table()
-    lm = ch.l_max
-    if q_idx is None:
-        q_idx = np.arange(ch.params.frame_len)
-    v = np.full(2 * lm + 1, off_var)
-    v[lm] = power
-    w_out = np.empty((q_idx.shape[0], lm + 1), dtype=np.complex128)
-    mu_out = np.empty(q_idx.shape[0])
-    for start in range(0, q_idx.shape[0], chunk):
-        sel = slice(start, start + chunk)
-        y, mu = mmse_filters(spreading_stack(table, q_idx[sel]), v, sigma_z2)
-        w_out[sel] = np.conj(y)
-        mu_out[sel] = mu
-    return w_out, mu_out
-
-
 def sinr_soft_profile(
-    ch: DiscreteChannel,
-    errs: ErrorState,
-    off_var: float | None = None,
-    chunk: int = 2048,
+    ch: DiscreteChannel, errs: ErrorState, off_var: float | None = None
 ) -> np.ndarray:
-    """Per-q soft-cancellation SINR with uniform-variance filters."""
+    """Linear soft-cancellation SINR for every q with uniform-variance filters.
+
+    Each filter is the MMSE filter with off_var (default errs.sigma_e2_prev)
+    on every interferer column and the full symbol power on the own column,
+    the mean-field choice used by the state evolution. Valid only under
+    perfect channel knowledge; a nonzero sigma_dg2 is rejected.
+    """
     if errs.sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation SINR is only defined for exact CSI")
     if off_var is None:
@@ -320,8 +209,8 @@ def sinr_soft_profile(
     v = np.full(2 * lm + 1, off_var)
     v[lm] = errs.power
     out = np.empty(mn)
-    for start in range(0, mn, chunk):
-        sel = np.arange(start, min(start + chunk, mn))
+    for start in range(0, mn, _CHUNK):
+        sel = np.arange(start, min(start + _CHUNK, mn))
         stack = spreading_stack(table, sel)
         w = np.conj(mmse_filters(stack, v, errs.sigma_z2)[0])
         proj2 = np.abs(np.einsum("nj,njc->nc", w, stack)) ** 2
@@ -336,18 +225,21 @@ def sinr_soft_profile(
 
 
 def mrc_sd_sinr_bound(
-    ch: DiscreteChannel, delta_d: float, q: int, sigma_z2: float, power: float = 1.0
-) -> float:
-    """Asymptotic SINR bound of the dithered-slicer MRC detector.
+    ch: DiscreteChannel, delta_d: float, sigma_z2: float, power: float = 1.0
+) -> np.ndarray:
+    """Asymptotic SINR bound of the dithered-slicer MRC detector for every q.
 
     Treats the dither (per-axis variance delta_d^2/3) as the only symbol
     error and ignores channel estimation error.
     """
     mom = channel_moments(ch)
     sigma_d2 = delta_d**2 / 3.0
-    eps2 = sigma_d2 * (mom.cross_neg[q] + mom.cross_pos[q])
-    a = mom.energy[q]
-    return power * a**2 / (eps2 + sigma_z2 * a)
+    eps2 = sigma_d2 * (mom.cross_neg + mom.cross_pos)
+    a = mom.energy
+    # float_power squares each entry with the C library's pow, so entry q
+    # equals the formula evaluated on the scalars of q alone; numpy's vector
+    # square can differ from that in the last bit
+    return power * np.float_power(a, 2) / (eps2 + sigma_z2 * a)
 
 
 def ser_union_bound(sinr_mean: float, constellation: Constellation) -> float:
@@ -408,15 +300,6 @@ def state_evolution(
     )
 
 
-def measure_mse(shat: np.ndarray, s: np.ndarray) -> float:
-    """Mean squared symbol-estimate error."""
-    shat = np.asarray(shat)
-    s = np.asarray(s)
-    if shat.shape != s.shape:
-        raise ValueError("estimate and truth lengths differ")
-    return float(np.mean(np.abs(shat - s) ** 2))
-
-
 def decompose_equalized(
     equalized: np.ndarray, normalizer: np.ndarray, truth: np.ndarray
 ):
@@ -431,28 +314,18 @@ def decompose_equalized(
     return psi, eta
 
 
-def measure_sinr(
-    psi: np.ndarray, eta: np.ndarray, cap_db: float = SINR_CAP_DB
-) -> float:
-    """Empirical mean SINR from per-symbol signal/RIPN samples.
+def sinr_from_powers(sig: np.ndarray, rip: np.ndarray, n_obs: int) -> float:
+    """Empirical mean SINR from per-symbol signal and RIPN powers.
 
-    Inputs are (n_obs, MN) or (MN,); per-symbol sample powers are averaged
-    over observations, ratioed per symbol, then averaged over symbols. The
-    reciprocal of an n-sample mean of Gaussian powers is biased by n/(n-1),
-    so the ratio carries the matching (n-1)/n correction. An infinite ratio
-    is reported as the cap.
+    sig and rip hold each symbol's signal and residual-interference-plus-noise
+    power, summed (or averaged, alike) over n_obs observations; they are
+    ratioed per symbol, then averaged over symbols. The reciprocal of an
+    n-sample mean of Gaussian powers is biased by n/(n-1), so the ratio
+    carries the matching (n-1)/n correction. A zero RIPN power, or a ratio
+    above the cap, is reported as the SINR_CAP_DB cap.
     """
-    psi = np.atleast_2d(np.asarray(psi))
-    eta = np.atleast_2d(np.asarray(eta))
-    sig = np.mean(np.abs(psi) ** 2, axis=0)
-    rip = np.mean(np.abs(eta) ** 2, axis=0)
-    n = psi.shape[0]
-    return _sinr_from_powers(sig, rip, n, cap_db)
-
-
-def _sinr_from_powers(sig, rip, n_obs, cap_db: float = SINR_CAP_DB) -> float:
     correction = (n_obs - 1) / n_obs if n_obs >= 2 else 1.0
-    cap = 10.0 ** (cap_db / 10.0)
+    cap = 10.0 ** (SINR_CAP_DB / 10.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rip > 0, correction * sig / np.maximum(rip, 1e-300), cap)
     return float(np.mean(np.minimum(ratio, cap)))

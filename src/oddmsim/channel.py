@@ -57,7 +57,6 @@ class ChannelProfile:
     delays: tuple
     powers: tuple
     k_max: int
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.delays) == 0:

@@ -8,7 +8,7 @@ estimation error statistics). Output is CSV on stdout or at --out.
 import argparse
 import sys
 
-from .harness import PRESETS, apply_config_text, run_sweep
+from .harness import PRESETS, load_config, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +40,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = PRESETS[args.preset]()
     if args.config:
-        with open(args.config) as fh:
-            cfg = apply_config_text(cfg, fh.read())
+        cfg = load_config(args.config, cfg)
     if args.seed is not None:
         from dataclasses import replace
 

@@ -239,10 +239,11 @@ def apply_config_text(cfg: SimConfig, text: str) -> SimConfig:
     return replace(cfg, params=params, profile=profile, **cfg_kw)
 
 
-def load_config(path, base: SimConfig | None = None) -> SimConfig:
+def load_config(path, base: SimConfig) -> SimConfig:
+    """Overlay the key=value file at path onto base."""
     with open(path) as fh:
         text = fh.read()
-    return apply_config_text(base if base is not None else desk_preset(), text)
+    return apply_config_text(base, text)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +383,10 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     variances entering the closed forms are extracted from the simulation
     itself (mean-square error of the fed-back estimates).
     """
-    if kind not in _SINR_KINDS:
-        raise ValueError(f"sinr mode supports {_SINR_KINDS}, not {kind!r}")
-    if cfg.pilot_mode == "estimated":
-        raise ValueError("sinr mode uses perfect_csi or synthetic pilot modes")
+    _check_sweep(cfg, "sinr", (kind,))
     params = cfg.params
     const, sigma_z2 = cfg.link(snr_db)
     sigma_dg2 = cfg.sigma_dg2
-    if kind == "soft_sicmmse" and sigma_dg2 > 0:
-        raise ValueError("soft-cancellation SINR analysis requires perfect CSI")
 
     ch_rng = _frame_rng(cfg, point_idx, 0, _ROLE_CHANNEL)
     ch = sample_channel(cfg.profile, params, ch_rng)
@@ -438,7 +434,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     mom = analysis.channel_moments(ch)
     rows = []
     for i in range(cfg.n_ite):
-        sim = analysis._sinr_from_powers(sig_pow[i], rip_pow[i], cfg.sinr_frames)
+        sim = analysis.sinr_from_powers(sig_pow[i], rip_pow[i], cfg.sinr_frames)
         sim_db = 10.0 * np.log10(sim)
         cur = mse[i]
         prev = mse[i - 1] if i > 0 else init_mse
@@ -537,12 +533,34 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
 # sweep driver
 
 
+def _check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
+    """Raise ValueError if sweep mode cannot run every detector in kinds.
+
+    run_sweep calls this for the whole detector list before it writes the
+    CSV header, so a bad sweep fails before its first row; sinr_point calls
+    it for its one detector.
+    """
+    if mode == "sinr" and cfg.pilot_mode == "estimated":
+        raise ValueError("sinr mode uses perfect_csi or synthetic pilot modes")
+    if mode == "est-stats" and cfg.snr_pilot_db is None:
+        raise ValueError("est-stats mode needs snr_pilot_db")
+    exact_csi = cfg.sigma_dg2 == 0.0
+    for kind in kinds:
+        if mode == "sinr" and kind not in _SINR_KINDS:
+            raise ValueError(f"sinr mode supports {_SINR_KINDS}, not {kind!r}")
+        if mode == "sinr" and kind == "soft_sicmmse" and not exact_csi:
+            raise ValueError("soft-cancellation SINR analysis requires perfect CSI")
+        if mode == "evolve" and _EVOLVE_KIND[kind] == "soft" and not exact_csi:
+            raise ValueError("soft-cancellation evolution requires perfect CSI")
+
+
 def run_sweep(cfg: SimConfig, mode: str = "ber", out=None) -> str:
     """Iterate the SNR grid (x detector list) and emit CSV text.
 
     out, when given, is a writable text stream; rows are flushed as they are
     produced so long runs can be monitored.
     """
+    _check_sweep(cfg, mode, cfg.detectors)
     lines = []
 
     def emit(line):

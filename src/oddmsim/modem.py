@@ -93,10 +93,6 @@ class TimeSequence:
                 f"sequence length {self.samples.shape} != expected ({self.params.frame_len},)"
             )
 
-    def delay_slice(self, m: int) -> np.ndarray:
-        """The N samples carrying delay row m (a strided view, not a copy)."""
-        return self.samples[m :: self.params.n_delay]
-
     def copy(self) -> "TimeSequence":
         return TimeSequence(self.samples.copy(), self.params)
 

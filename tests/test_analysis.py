@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from oddmsim import analysis as an
-from oddmsim import make_constellation
 from oddmsim.analysis import (
     ErrorState,
     channel_moments,
-    measure_mse,
-    measure_sinr,
     mrc_sd_sinr_bound,
     ser_union_bound,
-    sinr_mrc,
+    sinr_from_powers,
     sinr_mrc_profile,
-    sinr_soft,
-    sinr_upper_bound,
-    soft_filters_uniform,
+    sinr_soft_profile,
     state_evolution,
 )
+from oddmsim.channel import mmse_filters, spreading_stack
 
 
 class TestAppendixMoments:
@@ -65,9 +61,9 @@ class TestMrcSinr:
         sz2 = 0.04
         errs = ErrorState(0.0, 0.0, 0.0, 1.0, sz2)
         mom = channel_moments(desk_channel)
-        for q in (0, 100, 500):
-            bk = sinr_mrc(desk_channel, errs, q)
-            assert bk.sinr == pytest.approx(mom.energy[q] / sz2, rel=1e-12)
+        np.testing.assert_allclose(
+            sinr_mrc_profile(desk_channel, errs, mom), mom.energy / sz2, rtol=1e-12
+        )
 
     def test_matches_monte_carlo_with_injected_errors(self, desk_channel, qam4):
         # direct single-pass equalization with i.i.d. symbol and channel errors
@@ -111,18 +107,18 @@ class TestMrcSinr:
 
     def test_monotone_in_each_variance(self, desk_channel):
         base = dict(sigma_e2_cur=0.05, sigma_e2_prev=0.08, sigma_dg2=1e-3, power=1.0, sigma_z2=0.02)
-        q = 333
-        ref = sinr_mrc(desk_channel, ErrorState(**base), q).sinr
+        mom = channel_moments(desk_channel)
+        ref = sinr_mrc_profile(desk_channel, ErrorState(**base), mom)
         for name in ("sigma_e2_cur", "sigma_e2_prev", "sigma_dg2", "sigma_z2"):
             worse = dict(base)
             worse[name] = base[name] * 3 + 1e-4
-            assert sinr_mrc(desk_channel, ErrorState(**worse), q).sinr < ref
+            assert np.all(sinr_mrc_profile(desk_channel, ErrorState(**worse), mom) < ref)
 
     def test_upper_bound_dominates(self, desk_channel):
+        # the ideal-cancellation bound is the profile at zero symbol error
         rng = np.random.default_rng(51)
-        mn = desk_channel.params.frame_len
+        mom = channel_moments(desk_channel)
         for _ in range(1000):
-            q = int(rng.integers(0, mn))
             sz2 = float(rng.uniform(0.001, 0.5))
             dg2 = float(rng.uniform(0.0, 0.01))
             errs = ErrorState(
@@ -132,8 +128,8 @@ class TestMrcSinr:
                 1.0,
                 sz2,
             )
-            bound = sinr_upper_bound(desk_channel, dg2, q, sz2)
-            assert bound >= sinr_mrc(desk_channel, errs, q).sinr - 1e-12
+            bound = sinr_mrc_profile(desk_channel, ErrorState(0.0, 0.0, dg2, 1.0, sz2), mom)
+            assert np.all(bound >= sinr_mrc_profile(desk_channel, errs, mom) - 1e-12)
 
     def test_bound_slope_flattens_with_channel_error(self, desk_channel):
         # dSINR/dSNR near 18 dB drops visibly once channel error dominates
@@ -162,37 +158,30 @@ class TestMrcSinr:
 
 class TestSoftSinr:
     def test_matched_filter_limit_with_mrc_direction(self, desk_channel):
+        # with no interferer variance the MMSE filter points along g_q, so
+        # the soft SINR is the matched-filter bound at every q
         sz2 = 0.05
         mom = channel_moments(desk_channel)
-        q = 200
-        table = desk_channel.gain_table()
-        mn = desk_channel.params.frame_len
-        lm = desk_channel.l_max
-        g_q = np.array([table[l, (q + l) % mn] for l in range(lm + 1)])
-        w = np.conj(g_q) / np.vdot(g_q, g_q).real
         errs = ErrorState(0.0, 0.0, 0.0, 1.0, sz2)
-        bk = sinr_soft(desk_channel, w, errs, q)
-        assert bk.sinr == pytest.approx(mom.energy[q] / sz2, rel=1e-12)
+        np.testing.assert_allclose(
+            sinr_soft_profile(desk_channel, errs, off_var=0.0),
+            mom.energy / sz2,
+            rtol=1e-12,
+        )
 
     def test_decreasing_in_current_error(self, desk_channel):
         sz2 = 0.05
-        w, _ = soft_filters_uniform(desk_channel, 0.2, sz2, q_idx=np.array([77]))
         prev = None
         for cur in (0.0, 0.1, 0.3, 0.6):
             errs = ErrorState(cur, 0.2, 0.0, 1.0, sz2)
-            val = sinr_soft(desk_channel, w[0], errs, 77).sinr
+            val = sinr_soft_profile(desk_channel, errs, off_var=0.2)
             if prev is not None:
-                assert val < prev
+                assert np.all(val < prev)
             prev = val
 
     def test_rejects_channel_error(self, desk_channel):
         with pytest.raises(ValueError):
-            sinr_soft(
-                desk_channel,
-                np.ones(desk_channel.l_max + 1),
-                ErrorState(0.1, 0.1, 1e-3, 1.0, 0.05),
-                0,
-            )
+            sinr_soft_profile(desk_channel, ErrorState(0.1, 0.1, 1e-3, 1.0, 0.05))
 
     def test_matches_monte_carlo_single_pass(self, desk_channel, qam4):
         params = desk_channel.params
@@ -201,7 +190,10 @@ class TestSoftSinr:
         table = desk_channel.gain_table()
         rng = np.random.default_rng(52)
         v_err, sz2 = 0.05, 10 ** (-1.6)
-        w, mu = soft_filters_uniform(desk_channel, v_err, sz2)
+        v = np.full(2 * lm + 1, v_err)
+        v[lm] = 1.0
+        y, mu = mmse_filters(spreading_stack(table, np.arange(mn)), v, sz2)
+        w = np.conj(y)
         own = np.array([np.roll(table[l], -l) for l in range(lm + 1)])
         trials = 300
         psi_p = np.zeros(mn)
@@ -227,7 +219,7 @@ class TestSoftSinr:
             eta_p += np.abs(out - mu * s) ** 2
         emp_db = 10 * np.log10(np.mean(psi_p / eta_p))
         errs = ErrorState(v_err, v_err, 0.0, 1.0, sz2)
-        th_db = 10 * np.log10(np.mean(an.sinr_soft_profile(desk_channel, errs, off_var=v_err)))
+        th_db = 10 * np.log10(np.mean(sinr_soft_profile(desk_channel, errs, off_var=v_err)))
         assert abs(emp_db - th_db) <= 0.3
 
 
@@ -268,24 +260,37 @@ class TestSerAndEvolution:
 
 
 class TestMeasurement:
-    def test_mse_basics(self, qam4):
-        rng = np.random.default_rng(60)
-        s = qam4.map_bits(rng.integers(0, 2, 200_000))
-        assert measure_mse(s, s) == 0.0
-        noisy = s + np.sqrt(0.5) * (
-            rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-        )
-        assert abs(measure_mse(noisy, s) - 1.0) < 0.02
-        assert abs(measure_mse(np.zeros_like(s), s) - qam4.power) < 0.02
+    def test_mse_basics(self, desk_channel, desk_perfect, qam4):
+        # the detector's MSE trace is the mean squared distance of its
+        # time-domain estimates from the transmitted samples
+        from oddmsim import DDGrid, DetectorConfig, apply_channel, dd_to_time, run_detector
 
-    def test_mse_length_mismatch(self):
-        with pytest.raises(ValueError):
-            measure_mse(np.zeros(3), np.zeros(4))
+        params = desk_channel.params
+        rng = np.random.default_rng(60)
+        sz2 = 10 ** (-1.4)
+        bits = rng.integers(0, 2, params.frame_len * 2)
+        grid = DDGrid(qam4.map_bits(bits).reshape(params.n_delay, params.n_doppler), params)
+        seq = dd_to_time(grid)
+        received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
+        res = run_detector(
+            received,
+            desk_perfect,
+            DetectorConfig(kind="hard_sicmmse", n_ite=3),
+            qam4,
+            sigma_z2=sz2,
+            truth=seq.samples,
+        )
+        # hard_sicmmse starts from all-zero estimates
+        assert res.mse_init == float(np.mean(np.abs(seq.samples) ** 2))
+        decided = dd_to_time(res.decisions).samples
+        expected = float(np.mean(np.abs(decided - seq.samples) ** 2))
+        assert res.mse_trace.shape == (3,)
+        assert res.mse_trace[-1] == pytest.approx(expected, rel=1e-9, abs=1e-20)
 
     def test_sinr_caps_when_noiseless(self):
-        psi = np.ones((4, 10))
-        eta = np.zeros((4, 10))
-        assert measure_sinr(psi, eta) == pytest.approx(10 ** 30.0)
+        sig = np.full(10, 4.0)
+        rip = np.zeros(10)
+        assert sinr_from_powers(sig, rip, 4) == pytest.approx(10 ** 30.0)
 
     def test_sinr_of_known_ratio(self):
         rng = np.random.default_rng(61)
@@ -293,7 +298,9 @@ class TestMeasurement:
         eta = np.sqrt(0.1 / 2) * (
             rng.standard_normal((2000, 8)) + 1j * rng.standard_normal((2000, 8))
         )
-        assert measure_sinr(psi, eta) == pytest.approx(10.0, rel=0.05)
+        sig = np.sum(np.abs(psi) ** 2, axis=0)
+        rip = np.sum(np.abs(eta) ** 2, axis=0)
+        assert sinr_from_powers(sig, rip, 2000) == pytest.approx(10.0, rel=0.05)
 
 
 class TestMrcSdBound:
@@ -328,10 +335,5 @@ class TestMrcSdBound:
             psi_p += np.abs(psi) ** 2
             eta_p += np.abs(eta) ** 2
         measured = np.mean(psi_p / eta_p)
-        bounds = np.array(
-            [
-                mrc_sd_sinr_bound(desk_channel, delta, q, sz2)
-                for q in range(0, mn, 64)
-            ]
-        )
+        bounds = mrc_sd_sinr_bound(desk_channel, delta, sz2)[::64]
         assert measured < bounds.mean()

@@ -1,5 +1,7 @@
 """Sweep orchestration: determinism, accounting, config parsing, CLI."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,9 @@ class TestBerSweep:
         assert serial == parallel
 
 
+SYNTHETIC = dict(pilot_mode="synthetic", snr_pilot_db=30.0)
+
+
 class TestOtherModes:
     def test_sinr_rows_and_determinism(self):
         cfg = _tiny_cfg(detectors=("mrc",), snr_db=(14.0,), sinr_frames=4, n_ite=3)
@@ -177,6 +182,23 @@ class TestOtherModes:
         cfg = _tiny_cfg(sinr_frames=2)
         with pytest.raises(ValueError):
             h.sinr_point(cfg, "mrc_sd", 10.0)
+
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [
+            ("sinr", dict(detectors=("mrc", "mrc_sd"))),
+            ("sinr", dict(detectors=("mrc", "soft_sicmmse"), **SYNTHETIC)),
+            ("evolve", dict(detectors=("mrc", "soft_sicmmse"), **SYNTHETIC)),
+            ("est-stats", dict()),  # the desk preset has no snr_pilot_db
+        ],
+        ids=["sinr-mrc_sd", "sinr-soft-synthetic", "evolve-soft-synthetic", "est-stats"],
+    )
+    def test_bad_sweep_fails_before_first_row(self, mode, overrides):
+        cfg = _tiny_cfg(sinr_frames=2, n_ite=2, evolve_chans=1, est_trials=2, **overrides)
+        out = io.StringIO()
+        with pytest.raises(ValueError):
+            h.run_sweep(cfg, mode, out=out)
+        assert out.getvalue() == ""
 
     def test_evolve_rows_dedupe_kinds(self):
         cfg = _tiny_cfg(
