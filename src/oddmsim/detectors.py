@@ -17,6 +17,18 @@ Each kind is defined by one row of DETECTORS: its initializer, its first
 sweep and the sweep it repeats afterwards, a sweep being a (combine, slicer)
 pair. Hard SIC-MMSE is one MMSE sweep followed by MRC sweeps, since from the
 second iteration on its normalized filter output is exactly the MRC output.
+
+An ("mrc", "ml") sweep re-equalizes only the dirty rows. Row m reads the
+residual at delay rows (m + l) mod M for the support taps l, plus its own
+estimates, and its feedback writes those same samples; two rows therefore
+interact only when their cyclic delay distance is at most l_max. A row whose
+feedback changes any estimate marks every row within l_max of it dirty,
+itself included; any other sweep leaves every row dirty; a new frame starts
+with every row dirty. A clean row was last processed by an
+("mrc", "ml") sweep that left its estimates unchanged, and nothing it reads
+has changed since, so processing it again would repeat that computation bit
+for bit: a skipped row reports the decision, equalized output and normalizer
+of its last processing. Every sweep still runs and records its decisions.
 """
 
 from dataclasses import dataclass, field
@@ -32,12 +44,6 @@ __all__ = [
     "SymbolState",
     "DetectionResult",
     "init_estimates",
-    "stack_branches",
-    "mrc_combine",
-    "mmse_combine",
-    "ml_slice",
-    "dithered_ml_slice",
-    "dd_posterior",
     "run_detector",
     "run_iteration",
 ]
@@ -103,6 +109,11 @@ class SymbolState:
     The residual invariant resid == r - G_hat @ shat is maintained through
     every feedback update; row_var holds one error variance per delay row
     (the DD->time variance transform is row-constant).
+
+    dirty marks the rows an ("mrc", "ml") sweep must re-equalize; decision,
+    equalized and normalizer hold each row's outputs from its last
+    processing, which a skipped row reports again. Code that changes shat or
+    resid between sweeps must mark the rows that read them dirty.
     """
 
     r: np.ndarray
@@ -112,6 +123,10 @@ class SymbolState:
     row_var: np.ndarray
     frozen_rows: np.ndarray
     power: float
+    dirty: np.ndarray  # (M,) bool
+    decision: np.ndarray  # (M, N) alphabet indices
+    equalized: np.ndarray  # (MN,) pre-slicing outputs
+    normalizer: np.ndarray  # (MN,) signal-component multipliers
     iteration: int = 0
 
     def copy(self) -> "SymbolState":
@@ -123,6 +138,10 @@ class SymbolState:
             row_var=self.row_var.copy(),
             frozen_rows=self.frozen_rows.copy(),
             power=self.power,
+            dirty=self.dirty.copy(),
+            decision=self.decision.copy(),
+            equalized=self.equalized.copy(),
+            normalizer=self.normalizer.copy(),
             iteration=self.iteration,
         )
 
@@ -214,76 +233,11 @@ def init_estimates(
         row_var=np.full(params.n_delay, power),
         frozen_rows=np.zeros(params.n_delay, dtype=bool),
         power=power,
+        dirty=np.ones(params.n_delay, dtype=bool),
+        decision=np.zeros((params.n_delay, params.n_doppler), dtype=np.int64),
+        equalized=np.full(params.frame_len, np.nan, dtype=np.complex128),
+        normalizer=np.full(params.frame_len, np.nan),
     )
-
-
-def stack_branches(state: SymbolState, q: int) -> np.ndarray:
-    """Channel-impaired branch vector for the symbol at time index q.
-
-    Adds the symbol's own contribution back onto the running residual:
-    r_tilde_q[l] = e[(q+l) mod MN] + g_hat_q[l] * s_hat[q] for l = 0..l_max.
-    """
-    est = state.est
-    mn = est.params.frame_len
-    ls = np.arange(est.l_max + 1)
-    idx = (q + ls) % mn
-    g_q = est.gains[ls, idx]
-    return state.resid[idx] + g_q * state.shat[q]
-
-
-def mrc_combine(r_tilde: np.ndarray, g_q: np.ndarray) -> complex:
-    """Combine delay branches with weights g_q^H / (g_q^H g_q)."""
-    energy = float(np.vdot(g_q, g_q).real)
-    if energy == 0.0:
-        raise ValueError("degenerate channel: all-zero spreading vector")
-    return complex(np.vdot(g_q, r_tilde) / energy)
-
-
-def mmse_combine(
-    r_tilde: np.ndarray,
-    sub_matrix: np.ndarray,
-    v_diag: np.ndarray,
-    sigma_z2: float,
-    power: float = 1.0,
-):
-    """Reduced-dimension MMSE filter for one symbol.
-
-    Returns (normalized estimate, mu, post-MMSE variance) where
-    w = g_q^H (G_q V G_q^H + sigma_z^2 I)^{-1}, mu = w g_q, and the variance
-    is P_t (1 - mu) / mu. The own-symbol column is the middle one.
-    """
-    v_diag = np.asarray(v_diag, dtype=np.float64)
-    if np.any(v_diag < 0):
-        raise ValueError("prior variances must be non-negative")
-    center = sub_matrix.shape[1] // 2
-    if v_diag[center] <= 0:
-        raise ValueError("own-symbol prior variance must be positive")
-    g_q = sub_matrix[:, center]
-    a = (sub_matrix * v_diag) @ sub_matrix.conj().T
-    a[np.diag_indices_from(a)] += sigma_z2
-    y = np.linalg.solve(a, g_q)
-    mu = float(np.vdot(y, g_q).real)
-    s_tilde = complex(np.vdot(y, r_tilde) / mu)
-    post_var = power * (1.0 - mu) / mu
-    return s_tilde, mu, post_var
-
-
-def ml_slice(value: complex, constellation: Constellation) -> complex:
-    """Nearest alphabet point; ties resolve to the lowest index."""
-    idx = constellation.nearest_index(np.asarray([value]))[0]
-    return complex(constellation.points[idx])
-
-
-def dithered_ml_slice(
-    value: complex, constellation: Constellation, dither: complex
-) -> complex:
-    """Subtractively dithered slicer: slice (value + d), then subtract d.
-
-    The output lies on a dither-shifted coset of the alphabet; feeding it
-    back breaks the correlation between slicing errors and the slicer input.
-    """
-    idx = constellation.nearest_index(np.asarray([value + dither]))[0]
-    return complex(constellation.points[idx] - dither)
 
 
 def _posterior_batch(values: np.ndarray, var: float, constellation: Constellation):
@@ -300,14 +254,6 @@ def _posterior_batch(values: np.ndarray, var: float, constellation: Constellatio
     means = p @ points
     post_var = np.sum(p * np.abs(points[None, :] - means[:, None]) ** 2, axis=1)
     return means, post_var
-
-
-def dd_posterior(value: complex, var: float, constellation: Constellation):
-    """A-posteriori symbol mean and variance under constellation constraints."""
-    if var <= 0:
-        raise ValueError("posterior variance must be positive")
-    means, post_var = _posterior_batch(np.asarray([value]), var, constellation)
-    return complex(means[0]), float(post_var[0])
 
 
 def _declare_row_vars(state, m):
@@ -348,10 +294,12 @@ def _process_row_mmse(state, q_vec, v_diag, sigma_z2):
 
 
 def _feedback(state, q_vec, idx, g_rows, new_time):
-    """Apply updated time-domain estimates and patch the running residual."""
+    """Apply updated time-domain estimates and patch the running residual;
+    returns the change of the estimates."""
     delta = new_time - state.shat[q_vec]
     state.shat[q_vec] = new_time
     state.resid[idx] -= g_rows * delta[None, :]
+    return delta
 
 
 def run_iteration(
@@ -370,7 +318,9 @@ def run_iteration(
     slicer : 'ml' | 'dither' | 'posterior'
 
     (combine, slicer) must be a sweep some kind in DETECTORS runs; 'dither'
-    needs the (M, N) dither grid of this sweep.
+    needs the (M, N) dither grid of this sweep. An ('mrc', 'ml') sweep skips
+    the rows that are not dirty (see the module docstring); every other
+    sweep processes all non-frozen rows and leaves every row dirty.
     """
     if (combine, slicer) not in SWEEPS:
         raise ValueError(f"no detector runs the sweep ({combine!r}, {slicer!r})")
@@ -380,13 +330,17 @@ def run_iteration(
     m_count, n = params.n_delay, params.n_doppler
     sup = np.asarray(state.est.support, dtype=np.int64)
     pts = constellation.points
-    decision_idx = np.zeros((m_count, n), dtype=np.int64)
-    equalized = np.full(params.frame_len, np.nan, dtype=np.complex128) if collect else None
-    normalizer = np.full(params.frame_len, np.nan) if collect else None
+    skip_clean = (combine, slicer) == ("mrc", "ml")
+    if not skip_clean:
+        # covers the rows this sweep processes and every row they feed
+        state.dirty[:] = True
+    window = np.arange(-state.est.l_max, state.est.l_max + 1)
+    equalized_rows = state.equalized.reshape(n, m_count)
+    normalizer_rows = state.normalizer.reshape(n, m_count)
 
     for dm in range(m_count):
         m = (m_0 + dm) % m_count
-        if state.frozen_rows[m]:
+        if state.frozen_rows[m] or (skip_clean and not state.dirty[m]):
             continue
         q_vec = np.arange(n, dtype=np.int64) * m_count + m
         idx, g_rows = _support_taps(state, sup, q_vec)
@@ -419,13 +373,26 @@ def run_iteration(
             state.row_var[m] = 0.0
 
         new_time = np.fft.ifft(feedback_dd, norm="ortho")
-        _feedback(state, q_vec, idx, g_rows, new_time)
-        decision_idx[m] = decision
-        if collect:
-            equalized[q_vec] = s_tilde
-            normalizer[q_vec] = norm
+        delta = _feedback(state, q_vec, idx, g_rows, new_time)
+        if skip_clean:
+            state.dirty[m] = False
+            if delta.any():
+                # every row within l_max reads received samples this row patched
+                state.dirty[(m + window) % m_count] = True
+        state.decision[m] = decision
+        equalized_rows[:, m] = s_tilde
+        normalizer_rows[:, m] = norm
 
     state.iteration += 1
+    frozen = state.frozen_rows
+    decision_idx = state.decision.copy()
+    decision_idx[frozen] = 0
+    equalized = normalizer = None
+    if collect:
+        equalized = state.equalized.copy()
+        normalizer = state.normalizer.copy()
+        equalized.reshape(n, m_count)[:, frozen] = np.nan
+        normalizer.reshape(n, m_count)[:, frozen] = np.nan
     return IterationRecord(decision_idx, equalized, normalizer)
 
 
@@ -478,10 +445,18 @@ def run_detector(
     keeps each sweep's pre-slicing outputs and normalizers in records.
     """
     params = est.params
+    grid_shape = (params.n_delay, params.n_doppler)
     if seq.params.frame_len != params.frame_len:
         raise ValueError("sequence and channel estimate sizes differ")
     if cfg.m_0 >= params.n_delay:
         raise ValueError("m_0 outside the delay axis")
+    if truth is not None and np.shape(truth) != (params.frame_len,):
+        raise ValueError(
+            f"truth has shape {np.shape(truth)}, not the frame's ({params.frame_len},)"
+        )
+    for name, grid in (("true_indices", true_indices), ("data_mask", data_mask)):
+        if grid is not None and np.shape(grid) != grid_shape:
+            raise ValueError(f"{name} has shape {np.shape(grid)}, not the grid's {grid_shape}")
     power = constellation.power
 
     state = init_estimates(seq, est, cfg.initializer, sigma_z2, power)
@@ -489,8 +464,7 @@ def run_detector(
         _apply_known_rows(state, known_rows, known_grid)
         if data_mask is None:
             data_mask = np.broadcast_to(
-                ~np.asarray(known_rows, dtype=bool)[:, None],
-                (params.n_delay, params.n_doppler),
+                ~np.asarray(known_rows, dtype=bool)[:, None], grid_shape
             )
 
     plan = cfg.plan()

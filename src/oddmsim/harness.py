@@ -431,7 +431,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
 
     mse = mse_acc / cfg.sinr_frames
     init_mse = init_mse_acc / cfg.sinr_frames
-    mom = analysis.channel_moments(ch)
+    mom = None if kind == "soft_sicmmse" else analysis.channel_moments(ch)
     rows = []
     for i in range(cfg.n_ite):
         sim = analysis.sinr_from_powers(sig_pow[i], rip_pow[i], cfg.sinr_frames)
@@ -492,6 +492,11 @@ def evolve_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
 # ---------------------------------------------------------------------------
 # estimation-error statistics
 
+# est_stats_point averages the time-domain gain error over every
+# _GAIN_ERROR_STRIDE-th sample of the frame
+_GAIN_ERROR_STRIDE = 64
+
+
 def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     """Empirical vs predicted estimation-error variances (DD and time domain)."""
     params = cfg.params
@@ -516,8 +521,9 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
         dh_acc += float(np.sum(np.abs(dh) ** 2))
         n_cells += dh.size
         dg = est.gains - ch.gain_table()
-        dg_acc += float(np.sum(np.abs(dg[:, ::64]) ** 2))
-        n_gcells += dg[:, ::64].size
+        dg_sub = dg[:, ::_GAIN_ERROR_STRIDE]
+        dg_acc += float(np.sum(np.abs(dg_sub) ** 2))
+        n_gcells += dg_sub.size
     var_dh_theory = sigma_z2 / pcfg.dd_power
     var_dg_theory = sigma_z2 * params.n_doppler / pcfg.dd_power
     return (

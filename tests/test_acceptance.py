@@ -17,8 +17,10 @@ import oddmsim as o
 from oddmsim import analysis as an
 from oddmsim import harness as h
 from oddmsim.channel import DDPath, DiscreteChannel, full_matrix, subchannel
-from oddmsim.detectors import init_estimates, mmse_combine, run_iteration, stack_branches
+from oddmsim.detectors import init_estimates, run_iteration
 from oddmsim.harness import _ROLE_DETECTOR, _ROLE_FRAME, _frame_rng
+
+from oracles import mmse_combine, stack_branches
 
 DESK = h.desk_preset(seed=0)
 QAM4 = o.make_constellation(4)

@@ -26,9 +26,8 @@ from oddmsim.channel import (
     serialize_paths,
     spreading_stack,
 )
-from oddmsim.detectors import mmse_combine
-
 from conftest import PAPER_DELAY_RES
+from oracles import mmse_combine
 
 
 def _small_params():

@@ -1,5 +1,6 @@
-"""Detector ops and the shared engine, including a property test of its
-running-residual invariant and the engine surface perfbench/tracing.py wraps."""
+"""Detector ops (against the per-symbol forms in oracles.py) and the shared
+engine, including property tests of its running-residual invariant and of its
+dirty-row schedule, and the engine surface perfbench/tracing.py wraps."""
 
 import importlib.util
 import inspect
@@ -22,22 +23,19 @@ from oddmsim import (
 )
 from oddmsim import analysis, detectors, harness
 from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel
-from oddmsim.detectors import (
-    DETECTORS,
-    KINDS,
-    SWEEPS,
-    dd_posterior,
-    dithered_ml_slice,
-    init_estimates,
-    ml_slice,
-    mmse_combine,
-    mrc_combine,
-    run_iteration,
-    stack_branches,
-)
+from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
 from oddmsim.modem import ModemParams, TimeSequence
 from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_channel
 from oddmsim.modem import time_to_dd
+
+from oracles import (
+    dd_posterior,
+    dithered_ml_slice,
+    ml_slice,
+    mmse_combine,
+    mrc_combine,
+    stack_branches,
+)
 
 
 def _frame(params, const, rng):
@@ -394,6 +392,28 @@ class TestEngine:
         with pytest.raises(ValueError):
             cfg.resolved_delta(qam4)  # 2.0 >= d_min/2
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("truth", np.zeros(1, dtype=complex)),
+            ("true_indices", np.zeros((16, 64), dtype=np.int64)),
+            ("data_mask", np.ones(64 * 16, dtype=bool)),
+        ],
+    )
+    def test_oracle_inputs_must_match_the_frame(
+        self, name, bad, desk_channel, desk_perfect, qam4
+    ):
+        _, seq = _frame(desk_channel.params, qam4, np.random.default_rng(28))
+        with pytest.raises(ValueError, match=name):
+            run_detector(
+                seq,
+                desk_perfect,
+                DetectorConfig(kind="mrc", n_ite=1),
+                qam4,
+                sigma_z2=0.01,
+                **{name: bad},
+            )
+
     def test_mrc_sd_requires_rng(self, desk_channel, desk_perfect, qam4):
         params = desk_channel.params
         rng = np.random.default_rng(22)
@@ -475,39 +495,157 @@ PLAN_STEPS = sorted(SWEEPS)
 TINY = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
 
 
-class TestResidualInvariant:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
+def _random_sweep_state(seed, frozen, init, estimated):
+    """A noisy TINY frame's starting state, its dither grid and noise variance."""
+    rng = np.random.default_rng(seed)
+    qam4 = make_constellation(4)
+    prof = ChannelProfile(delays=(0, 1, 2), powers=(0.5, 0.3, 0.2), k_max=1)
+    ch = sample_channel(prof, TINY, rng)
+    if estimated:
+        est = perturb_channel(ch, 1e-3, rng)
+    else:
+        est = EstimatedChannel.from_true(ch)
+    _, seq = _frame(TINY, qam4, rng)
+    sz2 = 0.05
+    received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
+    state = init_estimates(received, est, init, sz2)
+    state.frozen_rows[:] = frozen
+    delta = DetectorConfig("mrc_sd").resolved_delta(qam4)
+    shape = (TINY.n_delay, TINY.n_doppler)
+    dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
+        -delta, delta, shape
+    )
+    return state, dither, qam4, sz2
+
+
+def any_plan(max_steps):
+    """Any sequence of up to max_steps plan steps from any starting state."""
+    return given(
         seed=st.integers(0, 2**16),
-        steps=st.lists(st.sampled_from(PLAN_STEPS), min_size=1, max_size=4),
+        steps=st.lists(st.sampled_from(PLAN_STEPS), min_size=1, max_size=max_steps),
         m_0=st.integers(0, TINY.n_delay - 1),
         frozen=st.lists(st.booleans(), min_size=TINY.n_delay, max_size=TINY.n_delay),
         init=st.sampled_from(["zeros", "freq_mmse"]),
         estimated=st.booleans(),
     )
+
+
+PLAN_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestResidualInvariant:
+    @PLAN_SETTINGS
+    @any_plan(max_steps=4)
     def test_any_plan_keeps_resid_equal_to_r_minus_g_shat(
         self, seed, steps, m_0, frozen, init, estimated
     ):
-        rng = np.random.default_rng(seed)
-        qam4 = make_constellation(4)
-        prof = ChannelProfile(delays=(0, 1, 2), powers=(0.5, 0.3, 0.2), k_max=1)
-        ch = sample_channel(prof, TINY, rng)
-        if estimated:
-            est = perturb_channel(ch, 1e-3, rng)
-        else:
-            est = EstimatedChannel.from_true(ch)
-        _, seq = _frame(TINY, qam4, rng)
-        sz2 = 0.05
-        received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
-        state = init_estimates(received, est, init, sz2)
-        state.frozen_rows[:] = frozen
-        delta = DetectorConfig("mrc_sd").resolved_delta(qam4)
-        shape = (TINY.n_delay, TINY.n_doppler)
-        dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
-            -delta, delta, shape
-        )
+        state, dither, qam4, sz2 = _random_sweep_state(seed, frozen, init, estimated)
         for combine, slicer in steps:
             run_iteration(state, combine, slicer, qam4, sz2, m_0=m_0, dither=dither)
             np.testing.assert_allclose(
                 state.resid, _residual_oracle(state), rtol=0, atol=1e-10
             )
+
+
+def _full_sweep(run_iteration_fn):
+    """run_iteration that first marks every row dirty: no row is skipped."""
+
+    def sweep(state, *args, **kwargs):
+        state.dirty[:] = True
+        return run_iteration_fn(state, *args, **kwargs)
+
+    return sweep
+
+
+class TestDirtyRowSchedule:
+    """Skipping the clean rows of an ('mrc', 'ml') sweep changes no output."""
+
+    @PLAN_SETTINGS
+    @any_plan(max_steps=8)
+    def test_any_plan_matches_full_sweeps(self, seed, steps, m_0, frozen, init, estimated):
+        state, dither, qam4, sz2 = _random_sweep_state(seed, frozen, init, estimated)
+        # MRC sweeps after the plan make sure clean rows come up to be skipped
+        for combine, slicer in steps + [("mrc", "ml")] * 4:
+            full = state.copy()
+            kw = dict(m_0=m_0, dither=dither, collect=True)
+            rec = run_iteration(state, combine, slicer, qam4, sz2, **kw)
+            ref = _full_sweep(run_iteration)(full, combine, slicer, qam4, sz2, **kw)
+            assert np.array_equal(state.shat, full.shat)
+            assert np.array_equal(state.resid, full.resid)
+            assert np.array_equal(rec.decision_idx, ref.decision_idx)
+            assert np.array_equal(rec.equalized, ref.equalized, equal_nan=True)
+            assert np.array_equal(rec.normalizer, ref.normalizer, equal_nan=True)
+
+    def test_only_dirty_rows_are_equalized(
+        self, monkeypatch, desk_channel, desk_perfect, qam4
+    ):
+        params = desk_channel.params
+        rows = []
+        process = detectors._process_row_mrc
+
+        def counting(state, q_vec, *args):
+            rows.append(int(q_vec[0]))
+            return process(state, q_vec, *args)
+
+        monkeypatch.setattr(detectors, "_process_row_mrc", counting)
+        rng = np.random.default_rng(25)
+        _, seq = _frame(params, qam4, rng)
+        sz2 = 0.02
+        received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
+        state = init_estimates(received, desk_perfect, "freq_mmse", sz2)
+
+        def sweep(combine, slicer="ml"):
+            rows.clear()
+            before = state.shat.copy()
+            run_iteration(state, combine, slicer, qam4, sz2)
+            return len(rows), not np.array_equal(before, state.shat)
+
+        counts = []
+        changed = True
+        while changed and len(counts) < 10:
+            count, changed = sweep("mrc")
+            counts.append(count)
+        assert not changed, "MRC did not reach a fixed point in 10 sweeps"
+        assert counts[0] == params.n_delay
+        assert min(counts[1:]) < params.n_delay
+        # at the fixed point every row is clean
+        assert sweep("mrc") == (0, False)
+        # an MMSE sweep leaves every row it processes dirty
+        sweep("mmse")
+        assert sweep("mrc")[0] == params.n_delay
+
+    @pytest.mark.parametrize("m_0", [0, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_detector_matches_full_sweeps(
+        self, kind, m_0, monkeypatch, desk_channel, qam4
+    ):
+        params = desk_channel.params
+        rng = np.random.default_rng(26)
+        grid, seq = _frame(params, qam4, rng)
+        sz2 = 0.05
+        received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
+        est = perturb_channel(desk_channel, 1e-3, rng)
+
+        def run():
+            return run_detector(
+                received,
+                est,
+                DetectorConfig(kind, n_ite=10, m_0=m_0),
+                qam4,
+                np.random.default_rng(27),
+                sigma_z2=sz2,
+                truth=seq.samples,
+                true_indices=qam4.nearest_index(grid.entries),
+                collect_equalized=True,
+            )
+
+        res = run()
+        monkeypatch.setattr(detectors, "run_iteration", _full_sweep(run_iteration))
+        ref = run()
+        assert np.array_equal(res.index_grid, ref.index_grid)
+        assert np.array_equal(res.bit_error_trace, ref.bit_error_trace)
+        assert np.array_equal(res.mse_trace, ref.mse_trace)
+        assert res.mse_init == ref.mse_init
+        for rec, rec_ref in zip(res.records, ref.records, strict=True):
+            assert np.array_equal(rec.equalized, rec_ref.equalized)
+            assert np.array_equal(rec.normalizer, rec_ref.normalizer)

@@ -91,6 +91,23 @@ class TestConfigParsing:
             h.desk_preset(pilot_mode="estimated")
 
 
+# the detectors whose MRC sweeps skip clean rows, under a stop rule held fixed:
+# min_frame_errors above max_frames never stops a point early
+FIXED_STOP = dict(
+    snr_db=(12.0,),
+    detectors=("mrc", "hard_sicmmse", "ssmi_mrc"),
+    pilot_mode="estimated",
+    snr_pilot_db=40.0,
+    max_frames=4,
+    min_frame_errors=5,
+)
+
+
+@pytest.fixture(scope="module")
+def fixed_stop_reference():
+    return h.run_sweep(h.desk_preset(**FIXED_STOP, workers=1, chunk=4), "ber")
+
+
 class TestBerSweep:
     def test_deterministic_output(self):
         cfg = _tiny_cfg(detectors=("mrc", "hard_sicmmse"))
@@ -159,6 +176,15 @@ class TestBerSweep:
 
         parallel = h.run_sweep(dataclasses.replace(cfg, workers=2), "ber")
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_csv_independent_of_workers_and_chunk(
+        self, workers, chunk, fixed_stop_reference
+    ):
+        # no detector state (such as the skipped-row schedule) leaks across frames
+        cfg = h.desk_preset(**FIXED_STOP, workers=workers, chunk=chunk)
+        assert h.run_sweep(cfg, "ber") == fixed_stop_reference
 
 
 SYNTHETIC = dict(pilot_mode="synthetic", snr_pilot_db=30.0)
