@@ -321,6 +321,10 @@ def run_iteration(
     needs the (M, N) dither grid of this sweep. An ('mrc', 'ml') sweep skips
     the rows that are not dirty (see the module docstring); every other
     sweep processes all non-frozen rows and leaves every row dirty.
+
+    The skip trusts state.dirty: a caller that writes state.shat or
+    state.resid between sweeps must set state.dirty[:] = True (as
+    _apply_known_rows does), or an ('mrc', 'ml') sweep reuses stale rows.
     """
     if (combine, slicer) not in SWEEPS:
         raise ValueError(f"no detector runs the sweep ({combine!r}, {slicer!r})")
@@ -409,6 +413,7 @@ def _apply_known_rows(state, known_rows, known_grid):
     state.frozen_rows[rows] = True
     state.row_var[rows] = 0.0
     state.resid[:] = _residual_from_scratch(state.r, state.est, state.shat)
+    state.dirty[:] = True
 
 
 def _count_bit_errors(constellation, dec_idx, true_idx, mask):

@@ -297,6 +297,21 @@ class TestSlicers:
         with pytest.raises(ValueError):
             dd_posterior(0.1, 0.0, qam4)
 
+    @pytest.mark.parametrize("var", [1e-13, 1e-9, 1e-3, 0.5, 1e9])
+    def test_engine_posterior_matches_oracle(self, qam4, var):
+        # carries the limit checks above over to the engine's batched form
+        # (var 1e-13 takes its hard-decision branch)
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        if var > 1e-12:
+            # the symmetric input (a four-way tie under the hard branch)
+            values = np.append(values, 0.0)
+        means, post_var = detectors._posterior_batch(values, var, qam4)
+        for x, mean, pvar in zip(values, means, post_var):
+            ref_mean, ref_var = dd_posterior(x, var, qam4)
+            assert abs(mean - ref_mean) < 1e-12
+            assert abs(pvar - ref_var) < 1e-12
+
 
 class TestEngine:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Sweep orchestration: determinism, accounting, config parsing, CLI."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -103,11 +104,6 @@ FIXED_STOP = dict(
 )
 
 
-@pytest.fixture(scope="module")
-def fixed_stop_reference():
-    return h.run_sweep(h.desk_preset(**FIXED_STOP, workers=1, chunk=4), "ber")
-
-
 class TestBerSweep:
     def test_deterministic_output(self):
         cfg = _tiny_cfg(detectors=("mrc", "hard_sicmmse"))
@@ -172,19 +168,14 @@ class TestBerSweep:
     def test_worker_pool_matches_serial(self):
         cfg = _tiny_cfg(min_frame_errors=2, max_frames=16)
         serial = h.run_sweep(cfg, "ber")
-        import dataclasses
-
-        parallel = h.run_sweep(dataclasses.replace(cfg, workers=2), "ber")
-        assert serial == parallel
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk", [1, 3, 16])
-    def test_csv_independent_of_workers_and_chunk(
-        self, workers, chunk, fixed_stop_reference
-    ):
-        # no detector state (such as the skipped-row schedule) leaks across frames
-        cfg = h.desk_preset(**FIXED_STOP, workers=workers, chunk=chunk)
-        assert h.run_sweep(cfg, "ber") == fixed_stop_reference
+        assert h.run_sweep(dataclasses.replace(cfg, workers=2), "ber") == serial
+        # under a fixed stop rule no detector state (such as the dirty-row
+        # schedule) leaks across frames, chunks or workers
+        fixed = h.desk_preset(**FIXED_STOP)
+        reference = h.run_sweep(dataclasses.replace(fixed, workers=1, chunk=1), "ber")
+        for workers, chunk in [(1, 3), (1, 16), (2, 1), (2, 3), (2, 16)]:
+            run = dataclasses.replace(fixed, workers=workers, chunk=chunk)
+            assert h.run_sweep(run, "ber") == reference, (workers, chunk)
 
 
 SYNTHETIC = dict(pilot_mode="synthetic", snr_pilot_db=30.0)
