@@ -247,21 +247,29 @@ def subchannel(ch: DiscreteChannel, q: int) -> SubChannel:
 def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     """Sub-channel matrices for many time indices at once.
 
-    gains is an (l_max+1, MN) tap-gain table; the result has shape
-    (len(q_idx), l_max+1, 2*l_max+1) with
+    gains is an (l_max+1, MN) tap-gain table; the result is a C-contiguous
+    array of shape (len(q_idx), l_max+1, 2*l_max+1) with
     stack[i, l, c] = gains[l-(c-l_max), (q_i+l) mod MN], zero where
     l-(c-l_max) leaves 0..l_max. For a true channel, stack[i] equals
     subchannel(ch, q_i).matrix.
     """
-    lm = gains.shape[0] - 1
-    rows = np.arange(lm + 1, dtype=np.int64)
-    rprime = rows[:, None] - (np.arange(2 * lm + 1, dtype=np.int64)[None, :] - lm)
-    idx = (np.asarray(q_idx, dtype=np.int64)[None, :] + rows[:, None]) % gains.shape[1]
-    # gather[r', l, i] = gains[r', (q_i + l) mod MN]; stack[l, c, i] reads row r'
-    gather = gains[:, idx]
-    stack = gather[np.clip(rprime, 0, lm), rows[:, None], :]
-    stack *= ((rprime >= 0) & (rprime <= lm))[:, :, None]
-    return stack.transpose(2, 0, 1)
+    lm, mn = gains.shape[0] - 1, gains.shape[1]
+    rows, cols = lm + 1, 2 * lm + 1
+    q_idx = np.asarray(q_idx, dtype=np.int64)
+    stack = np.zeros((q_idx.size, rows, cols), dtype=np.complex128)
+    # Row l is nonzero only in columns l..l+l_max, where column l+k reads tap
+    # l_max-k. Stepping cols+1 elements per row walks that band, so band[i, l, k]
+    # is stack[i, l, l+k]; its last element, l = k = l_max, lies inside stack[i].
+    isz = stack.itemsize
+    band = np.lib.stride_tricks.as_strided(
+        stack,
+        shape=(q_idx.size, rows, rows),
+        strides=(rows * cols * isz, (cols + 1) * isz, isz),
+        writeable=True,
+    )
+    time_idx = (q_idx[:, None] + np.arange(rows)) % mn
+    band[...] = np.take(gains, (lm - np.arange(rows)) * mn + time_idx[:, :, None])
+    return stack
 
 
 def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
@@ -272,8 +280,17 @@ def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
     w = y^H. When sigma_z2 is zero the covariance can be rank-deficient once
     the interferer variances reach zero, and the limiting filter uses the
     pseudo-inverse.
+
+    The covariances come from one batched matmul, through the identity
+    G V G^H = conj(conj(G V) G^T) for real v: conj(stack * v) times
+    stack.transpose(0, 2, 1), conjugated in place. For a C-contiguous stack
+    (as spreading_stack builds it) the transposed view is a BLAS operand as
+    it stands, so no conjugated or contiguous copy of the stack is made.
     """
-    a = np.einsum("njc,c,nkc->njk", stack, v, np.conj(stack))
+    sv = stack * v
+    np.conj(sv, out=sv)
+    a = np.matmul(sv, stack.transpose(0, 2, 1))
+    np.conj(a, out=a)
     diag = np.arange(stack.shape[1])
     a[:, diag, diag] += sigma_z2
     g_own = stack[:, :, stack.shape[2] // 2]

@@ -356,11 +356,10 @@ def run_iteration(
             s_tilde, norm, post_var = _process_row_mmse(state, q_vec, v_diag, sigma_z2)
 
         x_tilde = np.fft.fft(s_tilde, norm="ortho")
-        nearest = constellation.nearest_index(x_tilde)
 
         if slicer == "ml":
-            decision = nearest
-            feedback_dd = pts[nearest]
+            decision = constellation.nearest_index(x_tilde)
+            feedback_dd = pts[decision]
         elif slicer == "dither":
             d = dither[m]
             decision = constellation.nearest_index(x_tilde + d)
@@ -368,7 +367,7 @@ def run_iteration(
         else:
             var_dd = float(np.mean(post_var))
             means, pvars = _posterior_batch(x_tilde, var_dd, constellation)
-            decision = nearest
+            decision = constellation.nearest_index(x_tilde)
             feedback_dd = means
             state.row_var[m] = float(np.mean(pvars))
 
@@ -459,7 +458,19 @@ def run_detector(
         raise ValueError(
             f"truth has shape {np.shape(truth)}, not the frame's ({params.frame_len},)"
         )
-    for name, grid in (("true_indices", true_indices), ("data_mask", data_mask)):
+    if known_rows is not None:
+        if np.shape(known_rows) != (params.n_delay,):
+            raise ValueError(
+                f"known_rows has shape {np.shape(known_rows)}, not the delay axis's "
+                f"({params.n_delay},)"
+            )
+        if known_grid is None:
+            raise ValueError("known_rows needs known_grid, the transmitted (M, N) grid")
+    for name, grid in (
+        ("known_grid", known_grid),
+        ("true_indices", true_indices),
+        ("data_mask", data_mask),
+    ):
         if grid is not None and np.shape(grid) != grid_shape:
             raise ValueError(f"{name} has shape {np.shape(grid)}, not the grid's {grid_shape}")
     power = constellation.power
@@ -519,7 +530,7 @@ def run_detector(
         )
 
     decision_idx = records[-1].decision_idx.copy()
-    if known_rows is not None and known_grid is not None:
+    if known_rows is not None:
         rows = np.flatnonzero(known_rows)
         if rows.size:
             decision_idx[rows] = constellation.nearest_index(known_grid[rows, :])

@@ -129,7 +129,7 @@ class EstimatedChannel:
 
 def _doppler_axis(params: ModemParams) -> np.ndarray:
     n = params.n_doppler
-    return np.arange(-n // 2, n - n // 2)
+    return np.arange(-(n // 2), n - n // 2)
 
 
 def gains_from_estimate(

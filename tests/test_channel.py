@@ -3,6 +3,8 @@ sub-channel primitive (spreading stack and MMSE filters)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmsim import (
     ChannelProfile,
@@ -26,7 +28,7 @@ from oddmsim.channel import (
     serialize_paths,
     spreading_stack,
 )
-from conftest import PAPER_DELAY_RES
+from conftest import PAPER_DELAY_RES, PAPER_T
 from oracles import mmse_combine
 
 
@@ -280,6 +282,29 @@ class TestSpreadingStack:
 
 
 class TestMmseFilters:
+    @pytest.mark.parametrize("sz2", [0.05, 0.0])
+    def test_batch_size_does_not_change_results(self, sz2):
+        # paper-scale geometry, the size of one analysis chunk
+        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        p = ModemParams(
+            n_delay=512, n_doppler=32, sym_duration=PAPER_T, max_delay=prof.max_delay
+        )
+        ch = sample_channel(prof, p, np.random.default_rng(34))
+        table = ch.gain_table()
+        lm = ch.l_max
+        q_idx = np.arange(p.frame_len - 1024, p.frame_len + 1024) % p.frame_len
+        stack = spreading_stack(table, q_idx)
+        assert stack.flags.c_contiguous
+        v = np.random.default_rng(35).uniform(0.0, 1.0, 2 * lm + 1)
+        v[lm] = 1.0
+        y, mu = mmse_filters(stack, v, sz2)
+        for sl in (slice(1023, 1024), slice(100, 132), slice(1000, 1513)):
+            part = spreading_stack(table, q_idx[sl])
+            assert part.flags.c_contiguous
+            y_part, mu_part = mmse_filters(part, v, sz2)
+            assert np.array_equal(y_part, y[sl])
+            assert np.array_equal(mu_part, mu[sl])
+
     def test_matches_per_symbol_mmse_combine(self, desk_channel):
         rng = np.random.default_rng(33)
         mn = desk_channel.params.frame_len
@@ -346,6 +371,27 @@ class TestSerialization:
         text = serialize_paths(ch)
         back = deserialize_paths(text, p)
         assert np.abs(back.gain_table() - ch.gain_table()).max() == 0
+        assert back.support == ch.support
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        paths=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(-2, 2),
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_round_trip_of_any_path_set(self, paths):
+        p = _small_params()
+        ch = DiscreteChannel(
+            [DDPath(l, k, h) for l, k, h in paths], l_max=3, k_max=2, params=p
+        )
+        back = deserialize_paths(serialize_paths(ch), p, l_max=3, k_max=2)
+        assert back.paths == ch.paths
         assert back.support == ch.support
 
     def test_malformed_line(self):

@@ -410,9 +410,24 @@ class TestEngine:
     @pytest.mark.parametrize(
         "name, bad",
         [
-            ("truth", np.zeros(1, dtype=complex)),
-            ("true_indices", np.zeros((16, 64), dtype=np.int64)),
-            ("data_mask", np.ones(64 * 16, dtype=bool)),
+            ("truth", {"truth": np.zeros(1, dtype=complex)}),
+            ("true_indices", {"true_indices": np.zeros((16, 64), dtype=np.int64)}),
+            ("data_mask", {"data_mask": np.ones(64 * 16, dtype=bool)}),
+            (
+                "known_rows",
+                {
+                    "known_rows": np.arange(16) < 3,
+                    "known_grid": np.zeros((64, 16), dtype=complex),
+                },
+            ),
+            ("known_grid", {"known_rows": np.arange(64) < 3}),
+            (
+                "known_grid",
+                {
+                    "known_rows": np.arange(64) < 3,
+                    "known_grid": np.zeros((64, 8), dtype=complex),
+                },
+            ),
         ],
     )
     def test_oracle_inputs_must_match_the_frame(
@@ -426,7 +441,7 @@ class TestEngine:
                 DetectorConfig(kind="mrc", n_ite=1),
                 qam4,
                 sigma_z2=0.01,
-                **{name: bad},
+                **bad,
             )
 
     def test_mrc_sd_requires_rng(self, desk_channel, desk_perfect, qam4):

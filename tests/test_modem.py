@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmsim import (
     DDGrid,
@@ -69,6 +71,18 @@ class TestTransforms:
         assert abs(np.linalg.norm(seq.samples) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
         back = time_to_dd(seq)
         assert np.abs(back.entries - x).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 40), n=st.integers(2, 40), seed=st.integers(0, 2**16))
+    def test_round_trip_and_unitarity_on_any_grid_shape(self, m, n, seed):
+        p = ModemParams(n_delay=m, n_doppler=n)
+        rng = np.random.default_rng(seed)
+        x, z = rng.standard_normal((2, m, n)) + 1j * rng.standard_normal((2, m, n))
+        sx, sz = dd_to_time(DDGrid(x, p)).samples, dd_to_time(DDGrid(z, p)).samples
+        assert sx.shape == (m * n,)
+        # inner products (so norms) are preserved, and time_to_dd inverts dd_to_time
+        assert abs(np.vdot(sz, sx) - np.vdot(z, x)) <= 1e-12 * m * n
+        assert np.abs(time_to_dd(TimeSequence(sx, p)).entries - x).max() <= 1e-12
 
     def test_output_depends_only_on_own_delay_row(self):
         p = _params()

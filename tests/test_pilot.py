@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmsim import (
     DDGrid,
@@ -225,6 +227,22 @@ class TestSerialization:
         back = deserialize_estimate(serialize_estimate(est), p, sigma_dg2=0.1)
         assert np.abs(back.taps - est.taps).max() < 1e-15
         assert np.abs(back.gains - est.gains).max() < 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 24),
+        n=st.integers(2, 12),
+        l_max=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_on_any_grid_shape(self, m, n, l_max, seed):
+        p = ModemParams(n_delay=m, n_doppler=n)
+        rng = np.random.default_rng(seed)
+        taps = rng.standard_normal((l_max + 1, n)) + 1j * rng.standard_normal((l_max + 1, n))
+        est = gains_from_estimate(taps, p, sigma_dg2=0.1)
+        back = deserialize_estimate(serialize_estimate(est), p, sigma_dg2=0.1)
+        assert np.array_equal(back.taps, est.taps)
+        assert np.array_equal(back.gains, est.gains)
 
     def test_perfect_csi_view_has_no_taps(self):
         p = _params()
