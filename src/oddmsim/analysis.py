@@ -213,7 +213,7 @@ def sinr_soft_profile(
         sel = np.arange(start, min(start + _CHUNK, mn))
         stack = spreading_stack(table, sel)
         w = np.conj(mmse_filters(stack, v, errs.sigma_z2)[0])
-        proj2 = np.abs(np.einsum("nj,njc->nc", w, stack)) ** 2
+        proj2 = np.abs(np.matmul(w[:, None, :], stack)[:, 0, :]) ** 2
         signal = errs.power * proj2[:, lm]
         ripn = (
             errs.sigma_z2 * np.einsum("nj,nj->n", w, np.conj(w)).real

@@ -261,11 +261,11 @@ def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     # l_max-k. Stepping cols+1 elements per row walks that band, so band[i, l, k]
     # is stack[i, l, l+k]; its last element, l = k = l_max, lies inside stack[i].
     isz = stack.itemsize
-    band = np.lib.stride_tricks.as_strided(
-        stack,
-        shape=(q_idx.size, rows, rows),
+    band = np.ndarray(
+        (q_idx.size, rows, rows),
+        stack.dtype,
+        buffer=stack,
         strides=(rows * cols * isz, (cols + 1) * isz, isz),
-        writeable=True,
     )
     time_idx = (q_idx[:, None] + np.arange(rows)) % mn
     band[...] = np.take(gains, (lm - np.arange(rows)) * mn + time_idx[:, :, None])

@@ -13,6 +13,16 @@ samples its delay taps reach. MMSE rows build their filters with the same
 sub-channel primitive as the soft-cancellation analysis
 (channel.spreading_stack and channel.mmse_filters).
 
+Row m reads and patches one (l_max+1, N) window: the gains
+g_hat[l, nM+m+l] and the residual samples e[nM+m+l] for every tap l and
+Doppler index n, whatever the support (off-support gain rows are exact
+zeros, so they add nothing to a sum and patch nothing). For the first
+M - l_max rows the window is a zero-copy strided view of the gain table and
+of the residual, and the feedback writes the patched samples through it;
+only the last l_max rows, whose windows wrap past the frame end, gather
+theirs and scatter it back. The MRC energies sum_l |g_hat[l, q+l]|^2 depend on the
+estimate alone, so SymbolState.energy holds them for the whole frame.
+
 Each kind is defined by one row of DETECTORS: its initializer, its first
 sweep and the sweep it repeats afterwards, a sweep being a (combine, slicer)
 pair. Hard SIC-MMSE is one MMSE sweep followed by MRC sweeps, since from the
@@ -108,7 +118,10 @@ class SymbolState:
 
     The residual invariant resid == r - G_hat @ shat is maintained through
     every feedback update; row_var holds one error variance per delay row
-    (the DD->time variance transform is row-constant).
+    (the DD->time variance transform is row-constant). energy[m, n] is the
+    MRC energy sum_l |g_hat[l, q+l]|^2 of the symbol at q = nM + m; it
+    depends on the estimate alone, so it is built once per frame, never
+    written, and shared by copy().
 
     dirty marks the rows an ("mrc", "ml") sweep must re-equalize; decision,
     equalized and normalizer hold each row's outputs from its last
@@ -123,6 +136,7 @@ class SymbolState:
     row_var: np.ndarray
     frozen_rows: np.ndarray
     power: float
+    energy: np.ndarray  # (M, N) MRC energies, read-only
     dirty: np.ndarray  # (M,) bool
     decision: np.ndarray  # (M, N) alphabet indices
     equalized: np.ndarray  # (MN,) pre-slicing outputs
@@ -138,6 +152,7 @@ class SymbolState:
             row_var=self.row_var.copy(),
             frozen_rows=self.frozen_rows.copy(),
             power=self.power,
+            energy=self.energy,
             dirty=self.dirty.copy(),
             decision=self.decision.copy(),
             equalized=self.equalized.copy(),
@@ -174,6 +189,20 @@ def _residual_from_scratch(r, est, shat):
     for l in est.support:
         resid -= gains[l] * np.roll(shat, l)
     return resid
+
+
+def _energy_table(est):
+    """(M, N) table of sum_l |g_hat[l, (q+l) mod MN]|^2 at q = nM + m.
+
+    Accumulated one tap at a time, in tap order, so each entry is the same
+    sum an MRC row would form over its window, with no (l_max+1, MN)
+    temporary.
+    """
+    params = est.params
+    acc = np.zeros(params.frame_len)
+    for l, row in enumerate(est.gains):
+        acc += np.abs(np.roll(row, -l)) ** 2
+    return np.ascontiguousarray(acc.reshape(params.n_doppler, params.n_delay).T)
 
 
 def _freq_mmse_equalize(r, est, sigma_z2, power):
@@ -218,6 +247,9 @@ def init_estimates(
     if mode not in ("zeros", "freq_mmse"):
         raise ValueError(f"unknown init mode {mode!r}")
     params = est.params
+    if est.l_max >= params.n_delay:
+        # a row's window would reach some received sample through two taps
+        raise ValueError(f"l_max={est.l_max} must be below n_delay={params.n_delay}")
     r = np.asarray(seq.samples, dtype=np.complex128)
     if mode == "zeros":
         shat = np.zeros_like(r)
@@ -233,6 +265,7 @@ def init_estimates(
         row_var=np.full(params.n_delay, power),
         frozen_rows=np.zeros(params.n_delay, dtype=bool),
         power=power,
+        energy=_energy_table(est),
         dirty=np.ones(params.n_delay, dtype=bool),
         decision=np.zeros((params.n_delay, params.n_doppler), dtype=np.int64),
         equalized=np.full(params.frame_len, np.nan, dtype=np.complex128),
@@ -256,50 +289,20 @@ def _posterior_batch(values: np.ndarray, var: float, constellation: Constellatio
     return means, post_var
 
 
-def _declare_row_vars(state, m):
-    """Interferer variance per sub-channel column for the symbol row m."""
-    lm = state.est.l_max
-    rows = (m + np.arange(-lm, lm + 1)) % state.est.params.n_delay
-    v = state.row_var[rows].copy()
-    v[lm] = state.power  # own symbol carries full prior power
-    return v
+def _combine_mrc(state, m, g, branches):
+    """MRC outputs and energies of row m from its window's gains and branches."""
+    energy = state.energy[m]
+    # np.add.reduce is np.sum without its Python-level dispatch
+    return np.add.reduce(np.conj(g) * branches, axis=0) / energy, energy
 
 
-def _support_taps(state, sup, q_vec):
-    """Received-sample indices and gains of the support taps of one row."""
-    idx = (q_vec[None, :] + sup[:, None]) % state.est.params.frame_len
-    return idx, state.est.gains[sup[:, None], idx]
-
-
-def _process_row_mrc(state, q_vec, idx, g_rows):
-    branches = state.resid[idx] + g_rows * state.shat[q_vec][None, :]
-    energy = np.sum(np.abs(g_rows) ** 2, axis=0)
-    if np.any(energy == 0.0):
-        raise ValueError("degenerate channel: all-zero spreading vector")
-    s_tilde = np.sum(np.conj(g_rows) * branches, axis=0) / energy
-    return s_tilde, energy
-
-
-def _process_row_mmse(state, q_vec, v_diag, sigma_z2):
-    lm = state.est.l_max
+def _combine_mmse(state, q_vec, v_diag, branches, sigma_z2):
+    """Normalized MMSE outputs, mu and post-MMSE variances of one row."""
     stack = spreading_stack(state.est.gains, q_vec)  # (N, rows, cols)
     y, mu = mmse_filters(stack, v_diag, sigma_z2)
-    idx = (q_vec[None, :] + np.arange(lm + 1)[:, None]) % state.est.params.frame_len
-    g_q = stack[:, :, lm].T  # own spreading vectors, (rows, N)
-    branches = state.resid[idx] + g_q * state.shat[q_vec][None, :]
-    wr = np.einsum("nj,jn->n", np.conj(y), branches)
-    s_tilde = wr / mu
+    s_tilde = np.einsum("nj,jn->n", np.conj(y), branches) / mu
     post_var = state.power * (1.0 - mu) / mu
     return s_tilde, mu, np.maximum(post_var, 0.0)
-
-
-def _feedback(state, q_vec, idx, g_rows, new_time):
-    """Apply updated time-domain estimates and patch the running residual;
-    returns the change of the estimates."""
-    delta = new_time - state.shat[q_vec]
-    state.shat[q_vec] = new_time
-    state.resid[idx] -= g_rows * delta[None, :]
-    return delta
 
 
 def run_iteration(
@@ -330,32 +333,64 @@ def run_iteration(
         raise ValueError(f"no detector runs the sweep ({combine!r}, {slicer!r})")
     if slicer == "dither" and dither is None:
         raise ValueError("dither slicing needs a dither grid")
-    params = state.est.params
-    m_count, n = params.n_delay, params.n_doppler
-    sup = np.asarray(state.est.support, dtype=np.int64)
+    if combine == "mrc" and np.any(state.energy[~state.frozen_rows] == 0.0):
+        raise ValueError("degenerate channel: all-zero spreading vector")
+    est = state.est
+    gains, lm = est.gains, est.l_max
+    m_count, n = est.params.n_delay, est.params.n_doppler
+    mn = est.params.frame_len
     pts = constellation.points
     skip_clean = (combine, slicer) == ("mrc", "ml")
     if not skip_clean:
         # covers the rows this sweep processes and every row they feed
         state.dirty[:] = True
-    window = np.arange(-state.est.l_max, state.est.l_max + 1)
+    # delay rows within l_max of each row, cyclically: the variances an MMSE
+    # row declares and the rows a changed row marks dirty
+    around = (np.arange(m_count)[:, None] + np.arange(-lm, lm + 1)) % m_count
+    # Row m's window is gains[l, nM+m+l] and resid[nM+m+l] for l <= l_max,
+    # n < N. For the first M - l_max rows no index wraps past the frame end,
+    # so row m's window is element m of these zero-copy strided stacks.
+    n_inner = max(m_count - lm, 0)
+    shape = (n_inner, lm + 1, n)
+    isz = gains.itemsize  # gains and resid are both complex128
+    gain_windows = np.ndarray(
+        shape, gains.dtype, buffer=gains, strides=(isz, (mn + 1) * isz, m_count * isz)
+    )
+    resid_windows = np.ndarray(
+        shape, gains.dtype, buffer=state.resid, strides=(isz, isz, m_count * isz)
+    )
+    taps = np.arange(lm + 1)[:, None]
+    window_offsets = taps + np.arange(n) * m_count  # (l_max+1, N)
+    spectrum = np.empty(n, dtype=np.complex128)
+    new_time = np.empty(n, dtype=np.complex128)
     equalized_rows = state.equalized.reshape(n, m_count)
     normalizer_rows = state.normalizer.reshape(n, m_count)
 
-    for dm in range(m_count):
-        m = (m_0 + dm) % m_count
-        if state.frozen_rows[m] or (skip_clean and not state.dirty[m]):
+    order = (m_0 + np.arange(m_count)) % m_count
+    for m in order[~state.frozen_rows[order]].tolist():
+        if skip_clean and not state.dirty[m]:
             continue
-        q_vec = np.arange(n, dtype=np.int64) * m_count + m
-        idx, g_rows = _support_taps(state, sup, q_vec)
+        if m < n_inner:
+            gather = None
+            g, e = gain_windows[m], resid_windows[m]
+        else:
+            # the last l_max rows wrap past the frame end: gather the window,
+            # write it back after the feedback
+            gather = (window_offsets + m) % mn
+            g, e = gains[taps, gather], state.resid[gather]
+        s = state.shat[m::m_count]
+        branches = e + g * s
 
         if combine == "mrc":
-            s_tilde, norm = _process_row_mrc(state, q_vec, idx, g_rows)
+            s_tilde, norm = _combine_mrc(state, m, g, branches)
         else:
-            v_diag = _declare_row_vars(state, m)
-            s_tilde, norm, post_var = _process_row_mmse(state, q_vec, v_diag, sigma_z2)
+            v_diag = state.row_var[around[m]]
+            v_diag[lm] = state.power  # own symbol carries full prior power
+            s_tilde, norm, post_var = _combine_mmse(
+                state, window_offsets[0] + m, v_diag, branches, sigma_z2
+            )
 
-        x_tilde = np.fft.fft(s_tilde, norm="ortho")
+        x_tilde = np.fft.fft(s_tilde, norm="ortho", out=spectrum)
 
         if slicer == "ml":
             decision = constellation.nearest_index(x_tilde)
@@ -375,13 +410,23 @@ def run_iteration(
             # hard-decision cancellation: row treated as perfectly cancelled
             state.row_var[m] = 0.0
 
-        new_time = np.fft.ifft(feedback_dd, norm="ortho")
-        delta = _feedback(state, q_vec, idx, g_rows, new_time)
+        # feed the new estimates back: off-support gains are exact zeros, so
+        # patching the whole window leaves the samples no tap reaches as they were
+        np.fft.ifft(feedback_dd, norm="ortho", out=new_time)
+        delta = new_time - s
+        s[...] = new_time
+        patched = e - g * delta
+        if gather is None:
+            # assigned, not subtracted in place: numpy's in-place path on this
+            # strided view costs about twice as much for the same arithmetic
+            e[...] = patched
+        else:
+            state.resid[gather] = patched
         if skip_clean:
             state.dirty[m] = False
             if delta.any():
                 # every row within l_max reads received samples this row patched
-                state.dirty[(m + window) % m_count] = True
+                state.dirty[around[m]] = True
         state.decision[m] = decision
         equalized_rows[:, m] = s_tilde
         normalizer_rows[:, m] = norm

@@ -96,10 +96,12 @@ def embed_pilot(data: np.ndarray, cfg: PilotConfig, params: ModemParams) -> DDGr
 class EstimatedChannel:
     """Receiver-side channel knowledge: per-tap gains over the whole frame.
 
-    gains is a dense (l_max+1, MN) table; support lists the delay rows the
-    detector treats as active (all rows for a pilot-based estimate, the true
-    sparse support under perfect CSI). sigma_dg2 is the per-sample variance of
-    the time-domain gain error, zero for perfect CSI.
+    gains is a dense, C-contiguous (l_max+1, MN) table; support lists its
+    delay rows that may be nonzero (all rows for a pilot-based estimate, the
+    true sparse support under perfect CSI), and the rows off it must be zero.
+    The detectors read every row, so the zeros keep their sums exactly those
+    over the support. sigma_dg2 is the per-sample variance of the
+    time-domain gain error, zero for perfect CSI.
     """
 
     def __init__(
@@ -110,7 +112,7 @@ class EstimatedChannel:
         sigma_dg2: float = 0.0,
         taps: np.ndarray | None = None,
     ):
-        self.gains = np.asarray(gains, dtype=np.complex128)
+        self.gains = np.ascontiguousarray(gains, dtype=np.complex128)
         self.support = tuple(int(l) for l in support)
         self.params = params
         self.sigma_dg2 = float(sigma_dg2)
@@ -118,6 +120,9 @@ class EstimatedChannel:
         self.l_max = self.gains.shape[0] - 1
         if self.gains.shape[1] != params.frame_len:
             raise ValueError("gain table length does not match the frame")
+        off_support = set(range(self.l_max + 1)) - set(self.support)
+        if any(self.gains[l].any() for l in off_support):
+            raise ValueError("gain table rows off the support must be zero")
 
     @classmethod
     def from_true(cls, ch: DiscreteChannel) -> "EstimatedChannel":

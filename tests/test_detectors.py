@@ -22,7 +22,7 @@ from oddmsim import (
     sample_channel,
 )
 from oddmsim import analysis, detectors, harness
-from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel
+from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel, spreading_stack
 from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
 from oddmsim.modem import ModemParams, TimeSequence
 from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_channel
@@ -460,6 +460,97 @@ class TestEngine:
             )
 
 
+def _row_oracle(state, combine, m, sigma_z2):
+    """Per-symbol equalizer outputs of row m, from the oracles, before a sweep."""
+    est = state.est
+    m_count, lm = est.params.n_delay, est.l_max
+    taps = np.arange(lm + 1)
+    v_diag = state.row_var[(m + np.arange(-lm, lm + 1)) % m_count]
+    v_diag[lm] = state.power
+    out = []
+    for q in np.arange(est.params.n_doppler) * m_count + m:
+        branches = stack_branches(state, q)
+        if combine == "mrc":
+            g_q = est.gains[taps, (q + taps) % est.params.frame_len]
+            out.append(mrc_combine(branches, g_q))
+        else:
+            sub = spreading_stack(est.gains, [q])[0]
+            out.append(mmse_combine(branches, sub, v_diag, sigma_z2, state.power)[0])
+    return np.array(out)
+
+
+class TestRowWindows:
+    """Rows read and patch their (l_max+1, N) window; the last l_max rows'
+    windows wrap past the frame end."""
+
+    @pytest.mark.parametrize("estimated", [False, True])
+    @pytest.mark.parametrize("m_0_at_end", [False, True])
+    def test_single_row_matches_oracles(
+        self, estimated, m_0_at_end, desk_channel, desk_perfect, qam4
+    ):
+        params = desk_channel.params
+        m_count, mn = params.n_delay, params.frame_len
+        rng = np.random.default_rng(29)
+        est = perturb_channel(desk_channel, 1e-3, rng) if estimated else desk_perfect
+        lm = est.l_max
+        _, seq = _frame(params, qam4, rng)
+        sz2 = 0.05
+        received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
+        delta = DetectorConfig("mrc_sd").resolved_delta(qam4)
+        shape = (m_count, params.n_doppler)
+        dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(-delta, delta, shape)
+        m_0 = m_count - lm if m_0_at_end else 0
+        sweeps = [("mrc", "ml"), ("mrc", "dither"), ("mmse", "posterior")]
+        start = init_estimates(received, est, "freq_mmse", sz2)
+        for m in (0, m_count - lm - 1, m_count - lm, m_count - 1):
+            state = start.copy()
+            state.frozen_rows[:] = True
+            state.frozen_rows[m] = False
+            for combine, slicer in sweeps:
+                expected = _row_oracle(state, combine, m, sz2)
+                rec = run_iteration(
+                    state, combine, slicer, qam4, sz2, m_0=m_0, dither=dither, collect=True
+                )
+                got = rec.equalized.reshape(params.n_doppler, m_count)[:, m]
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    state.resid, _residual_oracle(state), rtol=0, atol=1e-12
+                )
+            # only row m was estimated
+            others = np.ones(mn, dtype=bool)
+            others[m::m_count] = False
+            assert np.array_equal(state.shat[others], start.shat[others])
+
+    def test_degenerate_row_raises_before_any_row_runs(self, desk_channel, qam4):
+        params = desk_channel.params
+        m_count, mn = params.n_delay, params.frame_len
+        rng = np.random.default_rng(30)
+        gains = perturb_channel(desk_channel, 1e-3, rng).gains.copy()
+        taps = np.arange(gains.shape[0])
+        m = 3  # rows 0..2 come first in the sweep
+        q = 5 * m_count + m
+        gains[taps, (q + taps) % mn] = 0.0
+        est = EstimatedChannel(gains, support=taps, params=params)
+        _, seq = _frame(params, qam4, rng)
+        state = init_estimates(apply_channel(desk_channel, seq, 0.1, rng), est, "zeros")
+        shat, resid = state.shat.copy(), state.resid.copy()
+        with pytest.raises(ValueError, match="degenerate"):
+            run_iteration(state, "mrc", "ml", qam4, 0.01)
+        assert np.array_equal(state.shat, shat)
+        assert np.array_equal(state.resid, resid)
+        assert state.iteration == 0
+        state.frozen_rows[m] = True
+        run_iteration(state, "mrc", "ml", qam4, 0.01)
+        assert state.iteration == 1
+
+    def test_taps_must_not_reach_past_the_delay_axis(self, qam4):
+        p = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
+        ch = DiscreteChannel([DDPath(0, 0, 1.0), DDPath(8, 0, 0.5)], l_max=8, k_max=0, params=p)
+        _, seq = _frame(p, qam4, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="l_max"):
+            init_estimates(seq, EstimatedChannel.from_true(ch), "zeros")
+
+
 class TestDetectorTable:
     @pytest.mark.parametrize("kind", KINDS)
     def test_plan_is_first_sweep_then_later_sweeps(self, kind):
@@ -611,13 +702,13 @@ class TestDirtyRowSchedule:
     ):
         params = desk_channel.params
         rows = []
-        process = detectors._process_row_mrc
+        combine = detectors._combine_mrc
 
-        def counting(state, q_vec, *args):
-            rows.append(int(q_vec[0]))
-            return process(state, q_vec, *args)
+        def counting(state, m, *args):
+            rows.append(m)
+            return combine(state, m, *args)
 
-        monkeypatch.setattr(detectors, "_process_row_mrc", counting)
+        monkeypatch.setattr(detectors, "_combine_mrc", counting)
         rng = np.random.default_rng(25)
         _, seq = _frame(params, qam4, rng)
         sz2 = 0.02

@@ -183,6 +183,15 @@ class TestGains:
         expected = p.n_doppler * sigma2
         assert abs(emp - expected) < 0.05 * expected
 
+    def test_rows_off_the_support_must_be_zero(self):
+        # the detectors read every row of the table, not just the support
+        p = _params(m=16, n=8, lmax=3)
+        gains = _single_path(p).gain_table().copy()
+        EstimatedChannel(gains, support=(2,), params=p)
+        gains[1, 5] = 1e-3
+        with pytest.raises(ValueError, match="off the support"):
+            EstimatedChannel(gains, support=(2,), params=p)
+
 
 class TestPowerAccounting:
     def test_effective_pilot_power_halves_when_doppler_bins_double(self):
