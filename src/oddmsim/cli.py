@@ -8,7 +8,7 @@ estimation error statistics). Output is CSV on stdout or at --out.
 import argparse
 import sys
 
-from .harness import PRESETS, load_config, run_sweep
+from .harness import PRESETS, SWEEP_MODES, load_config, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,12 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delay-Doppler multicarrier link simulator",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, text in (
-        ("ber", "Monte-Carlo bit error rate sweep"),
-        ("sinr", "simulated vs theoretical per-iteration SINR"),
-        ("evolve", "state-evolution BER prediction traces"),
-        ("est-stats", "channel estimation error statistics"),
-    ):
+    for mode, (text, _, _) in SWEEP_MODES.items():
         p = sub.add_parser(mode, help=text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")

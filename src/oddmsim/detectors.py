@@ -176,7 +176,6 @@ class DetectionResult:
 
     decisions: DDGrid
     index_grid: np.ndarray
-    iterations: int
     mse_trace: np.ndarray | None = None
     mse_init: float | None = None  # MSE of the state the first sweep starts from
     bit_error_trace: np.ndarray | None = None
@@ -240,34 +239,65 @@ def init_estimates(
     mode: str,
     sigma_z2: float = 0.0,
     power: float = 1.0,
+    *,
+    known_rows: np.ndarray | None = None,
+    known_grid: np.ndarray | None = None,
 ) -> SymbolState:
     """Build the starting state: zero priors, or the frequency-domain
     single-tap MMSE initializer (both carry an initial error variance of P_t).
+
+    The rows marked in known_rows (pilot and guard rows) are pinned to the
+    unitary IDFT of their known_grid rows, frozen, and given variance 0. The
+    residual is then computed once from the finished estimates, and every
+    row starts dirty.
     """
     if mode not in ("zeros", "freq_mmse"):
         raise ValueError(f"unknown init mode {mode!r}")
     params = est.params
-    if est.l_max >= params.n_delay:
+    m_count, n = params.n_delay, params.n_doppler
+    if est.l_max >= m_count:
         # a row's window would reach some received sample through two taps
-        raise ValueError(f"l_max={est.l_max} must be below n_delay={params.n_delay}")
+        raise ValueError(f"l_max={est.l_max} must be below n_delay={m_count}")
+    if known_rows is not None:
+        if np.shape(known_rows) != (m_count,):
+            raise ValueError(
+                f"known_rows has shape {np.shape(known_rows)}, not the delay axis's "
+                f"({m_count},)"
+            )
+        if known_grid is None:
+            raise ValueError("known_rows needs known_grid, the transmitted (M, N) grid")
+    if known_grid is not None and np.shape(known_grid) != (m_count, n):
+        raise ValueError(
+            f"known_grid has shape {np.shape(known_grid)}, not the grid's {(m_count, n)}"
+        )
     r = np.asarray(seq.samples, dtype=np.complex128)
     if mode == "zeros":
         shat = np.zeros_like(r)
-        resid = r.copy()
     else:
         shat = _freq_mmse_equalize(r, est, sigma_z2, power)
+    frozen = np.zeros(m_count, dtype=bool)
+    row_var = np.full(m_count, power)
+    if known_rows is not None:
+        rows = np.flatnonzero(known_rows)
+        known_time = np.fft.ifft(known_grid[rows, :], axis=1, norm="ortho")
+        shat.reshape(n, m_count)[:, rows] = known_time.T
+        frozen[rows] = True
+        row_var[rows] = 0.0
+    if mode == "zeros" and not frozen.any():
+        resid = r.copy()
+    else:
         resid = _residual_from_scratch(r, est, shat)
     return SymbolState(
         r=r,
         est=est,
         shat=shat,
         resid=resid,
-        row_var=np.full(params.n_delay, power),
-        frozen_rows=np.zeros(params.n_delay, dtype=bool),
+        row_var=row_var,
+        frozen_rows=frozen,
         power=power,
         energy=_energy_table(est),
-        dirty=np.ones(params.n_delay, dtype=bool),
-        decision=np.zeros((params.n_delay, params.n_doppler), dtype=np.int64),
+        dirty=np.ones(m_count, dtype=bool),
+        decision=np.zeros((m_count, n), dtype=np.int64),
         equalized=np.full(params.frame_len, np.nan, dtype=np.complex128),
         normalizer=np.full(params.frame_len, np.nan),
     )
@@ -325,9 +355,11 @@ def run_iteration(
     the rows that are not dirty (see the module docstring); every other
     sweep processes all non-frozen rows and leaves every row dirty.
 
-    The skip trusts state.dirty: a caller that writes state.shat or
-    state.resid between sweeps must set state.dirty[:] = True (as
-    _apply_known_rows does), or an ('mrc', 'ml') sweep reuses stale rows.
+    The skip trusts state.dirty. init_estimates builds the whole starting
+    state, pinned rows included, with every row dirty, and run_detector
+    writes nothing between sweeps; a caller that writes state.shat or
+    state.resid between sweeps must set state.dirty[:] = True, or an
+    ('mrc', 'ml') sweep reuses stale rows.
     """
     if (combine, slicer) not in SWEEPS:
         raise ValueError(f"no detector runs the sweep ({combine!r}, {slicer!r})")
@@ -444,29 +476,9 @@ def run_iteration(
     return IterationRecord(decision_idx, equalized, normalizer)
 
 
-def _apply_known_rows(state, known_rows, known_grid):
-    """Pin pilot/guard rows to their known transmitted values."""
-    params = state.est.params
-    m_count, n = params.n_delay, params.n_doppler
-    rows = np.flatnonzero(known_rows)
-    if rows.size == 0:
-        return
-    known_time = np.fft.ifft(known_grid[rows, :], axis=1, norm="ortho")
-    for j, m in enumerate(rows):
-        state.shat[m::m_count] = known_time[j]
-    state.frozen_rows[rows] = True
-    state.row_var[rows] = 0.0
-    state.resid[:] = _residual_from_scratch(state.r, state.est, state.shat)
-    state.dirty[:] = True
-
-
-def _count_bit_errors(constellation, dec_idx, true_idx, mask):
-    xor = constellation.labels[dec_idx[mask]] ^ constellation.labels[true_idx[mask]]
-    k = constellation.bits_per_symbol
-    total = 0
-    for b in range(k):
-        total += int(np.count_nonzero((xor >> b) & 1))
-    return total
+def _count_bit_errors(constellation, dec_idx, true_idx):
+    xor = constellation.labels[dec_idx] ^ constellation.labels[true_idx]
+    return int(np.bitwise_count(xor).sum())
 
 
 def run_detector(
@@ -481,17 +493,17 @@ def run_detector(
     known_grid: np.ndarray | None = None,
     truth: np.ndarray | None = None,
     true_indices: np.ndarray | None = None,
-    data_mask: np.ndarray | None = None,
     collect_equalized: bool = False,
 ) -> DetectionResult:
     """Detect one frame: run the detector's iteration plan, one run_iteration
     sweep per iteration.
 
     Pilot/guard rows, when declared via known_rows/known_grid, are pinned to
-    their transmitted values and excluded from estimation. Passing the true
-    time sequence and/or true alphabet indices enables the per-iteration MSE
-    (plus the starting state's MSE) and bit-error traces; collect_equalized
-    keeps each sweep's pre-slicing outputs and normalizers in records.
+    their transmitted values and excluded from estimation and from the bit
+    count. Passing the true time sequence and/or true alphabet indices
+    enables the per-iteration MSE (plus the starting state's MSE) and
+    bit-error traces; collect_equalized keeps each sweep's pre-slicing
+    outputs and normalizers in records.
     """
     params = est.params
     grid_shape = (params.n_delay, params.n_doppler)
@@ -503,30 +515,21 @@ def run_detector(
         raise ValueError(
             f"truth has shape {np.shape(truth)}, not the frame's ({params.frame_len},)"
         )
-    if known_rows is not None:
-        if np.shape(known_rows) != (params.n_delay,):
-            raise ValueError(
-                f"known_rows has shape {np.shape(known_rows)}, not the delay axis's "
-                f"({params.n_delay},)"
-            )
-        if known_grid is None:
-            raise ValueError("known_rows needs known_grid, the transmitted (M, N) grid")
-    for name, grid in (
-        ("known_grid", known_grid),
-        ("true_indices", true_indices),
-        ("data_mask", data_mask),
-    ):
-        if grid is not None and np.shape(grid) != grid_shape:
-            raise ValueError(f"{name} has shape {np.shape(grid)}, not the grid's {grid_shape}")
-    power = constellation.power
+    if true_indices is not None and np.shape(true_indices) != grid_shape:
+        raise ValueError(
+            f"true_indices has shape {np.shape(true_indices)}, not the grid's {grid_shape}"
+        )
 
-    state = init_estimates(seq, est, cfg.initializer, sigma_z2, power)
-    if known_rows is not None:
-        _apply_known_rows(state, known_rows, known_grid)
-        if data_mask is None:
-            data_mask = np.broadcast_to(
-                ~np.asarray(known_rows, dtype=bool)[:, None], grid_shape
-            )
+    state = init_estimates(
+        seq,
+        est,
+        cfg.initializer,
+        sigma_z2,
+        constellation.power,
+        known_rows=known_rows,
+        known_grid=known_grid,
+    )
+    frozen = state.frozen_rows
 
     plan = cfg.plan()
     dither = None
@@ -562,28 +565,22 @@ def run_detector(
 
     bit_trace = None
     if true_indices is not None:
-        mask = (
-            data_mask
-            if data_mask is not None
-            else np.ones_like(true_indices, dtype=bool)
-        )
         bit_trace = np.array(
             [
-                _count_bit_errors(constellation, rec.decision_idx, true_indices, mask)
+                _count_bit_errors(
+                    constellation, rec.decision_idx[~frozen], true_indices[~frozen]
+                )
                 for rec in records
             ]
         )
 
     decision_idx = records[-1].decision_idx.copy()
-    if known_rows is not None:
-        rows = np.flatnonzero(known_rows)
-        if rows.size:
-            decision_idx[rows] = constellation.nearest_index(known_grid[rows, :])
+    if frozen.any():
+        decision_idx[frozen] = constellation.nearest_index(known_grid[frozen])
     decisions = DDGrid(constellation.points[decision_idx], params)
     return DetectionResult(
         decisions=decisions,
         index_grid=decision_idx,
-        iterations=cfg.n_ite,
         mse_trace=np.array(mse[1:]) if mse is not None else None,
         mse_init=mse[0] if mse is not None else None,
         bit_error_trace=bit_trace,

@@ -6,6 +6,9 @@ for a given configuration regardless of worker count or scheduling, and all
 detectors at one SNR point see the same channel/noise/data realizations.
 """
 
+import contextlib
+import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .channel import ChannelProfile, apply_channel, eva_profile, sample_channel
-from .detectors import KINDS, DetectorConfig, run_detector
+from .detectors import DITHER_RATIO, KINDS, DetectorConfig, run_detector
 from .modem import DDGrid, ModemParams, dd_to_time, make_constellation, time_to_dd
 from .pilot import (
     EstimatedChannel,
@@ -34,6 +37,7 @@ __all__ = [
     "apply_config_text",
     "run_ber_point",
     "run_sweep",
+    "SWEEP_MODES",
     "BER_HEADER",
     "SINR_HEADER",
     "EVOLVE_HEADER",
@@ -63,7 +67,7 @@ class SimConfig:
     detectors: tuple = ("soft_sicmmse",)
     n_ite: int = 10
     m_0: int = 0
-    delta_d_ratio: float = 9.4
+    delta_d_ratio: float = DITHER_RATIO
     snr_db: tuple = ()
     pilot_mode: str = "perfect_csi"
     snr_pilot_db: float | None = None
@@ -77,8 +81,9 @@ class SimConfig:
     est_trials: int = 10_000
 
     def __post_init__(self):
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be at least 1")
+        for key in ("min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         if self.pilot_mode not in PILOT_MODES:
             raise ValueError(f"unknown pilot mode {self.pilot_mode!r}")
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
@@ -262,15 +267,29 @@ def _pilot_config(cfg: SimConfig, sigma_z2: float) -> PilotConfig:
     return PilotConfig(amplitude=amp, max_delay=params.max_delay)
 
 
-def _frame_layout(cfg: SimConfig, sigma_z2: float):
-    """Pilot config, data mask, and known-row descriptors for one frame."""
+def _transmit(cfg: SimConfig, ch, const, sigma_z2: float, rng, pcfg=None):
+    """Draw, map and send one frame through ch; estimate ch by the pilot mode.
+
+    The data fill the whole grid, or, when pcfg is given, the cells around
+    its embedded pilot. Returns (grid, seq, received, est, n_bits).
+    """
     params = cfg.params
-    if cfg.pilot_mode != "estimated":
-        return None, None, None
-    pcfg = _pilot_config(cfg, sigma_z2)
-    known_rows = np.zeros(params.n_delay, dtype=bool)
-    known_rows[pcfg.guard_rows(params)] = True
-    return pcfg, pcfg.data_mask(params), known_rows
+    n_data = params.frame_len if pcfg is None else pcfg.data_cell_count(params)
+    bits = rng.integers(0, 2, n_data * const.bits_per_symbol)
+    data = const.map_bits(bits)
+    if pcfg is None:
+        grid = DDGrid(data.reshape(params.n_delay, params.n_doppler), params)
+    else:
+        grid = embed_pilot(data, pcfg, params)
+    seq = dd_to_time(grid)
+    received = apply_channel(ch, seq, float(np.sqrt(sigma_z2)), rng)
+    if cfg.pilot_mode == "perfect_csi":
+        est = EstimatedChannel.from_true(ch)
+    elif cfg.pilot_mode == "synthetic":
+        est = perturb_channel(ch, cfg.sigma_dg2 / params.n_doppler, rng)
+    else:
+        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sigma_z2)
+    return grid, seq, received, est, bits.size
 
 
 def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_idx: int):
@@ -281,30 +300,14 @@ def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_i
     det_rng = _frame_rng(cfg, point_idx, frame_idx, _ROLE_DETECTOR)
 
     ch = sample_channel(cfg.profile, params, rng)
-    pcfg, data_mask, known_rows = _frame_layout(cfg, sigma_z2)
-    if pcfg is None:
-        n_data = params.frame_len
-    else:
-        n_data = pcfg.data_cell_count(params)
-    bits = rng.integers(0, 2, n_data * const.bits_per_symbol)
-    data = const.map_bits(bits)
-    if pcfg is None:
-        grid = DDGrid(data.reshape(params.n_delay, params.n_doppler), params)
-        known_grid = None
-    else:
-        grid = embed_pilot(data, pcfg, params)
+    pcfg = _pilot_config(cfg, sigma_z2) if cfg.pilot_mode == "estimated" else None
+    grid, _, received, est, n_bits = _transmit(cfg, ch, const, sigma_z2, rng, pcfg)
+    known_rows = known_grid = None
+    if pcfg is not None:
+        known_rows = np.zeros(params.n_delay, dtype=bool)
+        known_rows[pcfg.guard_rows(params)] = True
         known_grid = grid.entries
-    seq = dd_to_time(grid)
-    received = apply_channel(ch, seq, float(np.sqrt(sigma_z2)), rng)
 
-    if cfg.pilot_mode == "perfect_csi":
-        est = EstimatedChannel.from_true(ch)
-    elif cfg.pilot_mode == "synthetic":
-        est = perturb_channel(ch, cfg.sigma_dg2 / params.n_doppler, rng)
-    else:
-        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sigma_z2)
-
-    true_idx = const.nearest_index(grid.entries)
     result = run_detector(
         received,
         est,
@@ -314,11 +317,10 @@ def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_i
         sigma_z2=sigma_z2,
         known_rows=known_rows,
         known_grid=known_grid,
-        true_indices=true_idx,
-        data_mask=data_mask,
+        true_indices=const.nearest_index(grid.entries),
     )
     errors = int(result.bit_error_trace[-1])
-    return errors, n_data * const.bits_per_symbol, errors > 0
+    return errors, n_bits, errors > 0
 
 
 def run_ber_point(
@@ -335,24 +337,12 @@ def run_ber_point(
     worker pool.
     """
     start = time.perf_counter()
+    frame = functools.partial(_ber_frame, cfg, kind, snr_db, point_idx)
+    run = map if executor is None else executor.map
     frames = frame_errors = bit_errors = bits_total = 0
     while frame_errors < cfg.min_frame_errors and frames < cfg.max_frames:
         n_chunk = int(min(cfg.chunk, cfg.max_frames - frames))
-        idxs = range(frames, frames + n_chunk)
-        if executor is None:
-            results = [_ber_frame(cfg, kind, snr_db, point_idx, i) for i in idxs]
-        else:
-            results = list(
-                executor.map(
-                    _ber_frame,
-                    [cfg] * n_chunk,
-                    [kind] * n_chunk,
-                    [snr_db] * n_chunk,
-                    [point_idx] * n_chunk,
-                    idxs,
-                )
-            )
-        for errs, bits, is_err in results:
+        for errs, bits, is_err in run(frame, range(frames, frames + n_chunk)):
             bit_errors += errs
             bits_total += bits
             frame_errors += int(is_err)
@@ -400,16 +390,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     for t in range(cfg.sinr_frames):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         det_rng = _frame_rng(cfg, point_idx, t, _ROLE_DETECTOR)
-        bits = rng.integers(0, 2, mn * const.bits_per_symbol)
-        grid = DDGrid(
-            const.map_bits(bits).reshape(params.n_delay, params.n_doppler), params
-        )
-        seq = dd_to_time(grid)
-        received = apply_channel(ch, seq, float(np.sqrt(sigma_z2)), rng)
-        if sigma_dg2 > 0:
-            est = perturb_channel(ch, sigma_dg2 / params.n_doppler, rng)
-        else:
-            est = EstimatedChannel.from_true(ch)
+        _, seq, received, est, _ = _transmit(cfg, ch, const, sigma_z2, rng)
         res = run_detector(
             received,
             est,
@@ -560,62 +541,67 @@ def _check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
             raise ValueError("soft-cancellation evolution requires perfect CSI")
 
 
+def _ber_rows(cfg: SimConfig):
+    executor = None
+    if cfg.workers > 1:
+        executor = ProcessPoolExecutor(max_workers=cfg.workers)
+    try:
+        for pi, snr in enumerate(cfg.snr_db):
+            for kind in cfg.detectors:
+                yield run_ber_point(cfg, kind, snr, pi, executor).csv_row()
+    finally:
+        if executor is not None:
+            executor.shutdown()
+
+
+def _sinr_rows(cfg: SimConfig):
+    for pi, snr in enumerate(cfg.snr_db):
+        for kind in cfg.detectors:
+            for it, sim_db, th_db in sinr_point(cfg, kind, snr, pi):
+                yield f"{snr:g},{kind},{it},{sim_db:.10g},{th_db:.10g}"
+
+
+def _evolve_rows(cfg: SimConfig):
+    for pi, snr in enumerate(cfg.snr_db):
+        for kind in dict.fromkeys(_EVOLVE_KIND[det] for det in cfg.detectors):
+            for it, sinr_db, ser, mse, ber in evolve_point(cfg, kind, snr, pi):
+                yield f"{snr:g},{kind},{it},{sinr_db:.10g},{ser:.10g},{mse:.10g},{ber:.10g}"
+
+
+def _est_rows(cfg: SimConfig):
+    for pi, snr in enumerate(cfg.snr_db):
+        trials, dh_e, dh_t, dg_e, dg_t = est_stats_point(cfg, snr, pi)
+        yield (
+            f"{snr:g},{cfg.snr_pilot_db:g},{trials},{dh_e:.10g},{dh_t:.10g},"
+            f"{dg_e:.10g},{dg_t:.10g}"
+        )
+
+
+# sweep mode -> (CLI help, CSV header, row generator over a configuration)
+SWEEP_MODES = {
+    "ber": ("Monte-Carlo bit error rate sweep", BER_HEADER, _ber_rows),
+    "sinr": ("simulated vs theoretical per-iteration SINR", SINR_HEADER, _sinr_rows),
+    "evolve": ("state-evolution BER prediction traces", EVOLVE_HEADER, _evolve_rows),
+    "est-stats": ("channel estimation error statistics", EST_HEADER, _est_rows),
+}
+
+
 def run_sweep(cfg: SimConfig, mode: str = "ber", out=None) -> str:
     """Iterate the SNR grid (x detector list) and emit CSV text.
 
     out, when given, is a writable text stream; rows are flushed as they are
     produced so long runs can be monitored.
     """
-    _check_sweep(cfg, mode, cfg.detectors)
-    lines = []
-
-    def emit(line):
-        lines.append(line)
-        if out is not None:
-            out.write(line + "\n")
-            out.flush()
-
-    if mode == "ber":
-        emit(BER_HEADER)
-        executor = None
-        if cfg.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=cfg.workers)
-        try:
-            for pi, snr in enumerate(cfg.snr_db):
-                for kind in cfg.detectors:
-                    rec = run_ber_point(cfg, kind, snr, pi, executor)
-                    emit(rec.csv_row())
-        finally:
-            if executor is not None:
-                executor.shutdown()
-    elif mode == "sinr":
-        emit(SINR_HEADER)
-        for pi, snr in enumerate(cfg.snr_db):
-            for kind in cfg.detectors:
-                for it, sim_db, th_db in sinr_point(cfg, kind, snr, pi):
-                    emit(f"{snr:g},{kind},{it},{sim_db:.10g},{th_db:.10g}")
-    elif mode == "evolve":
-        emit(EVOLVE_HEADER)
-        for pi, snr in enumerate(cfg.snr_db):
-            seen = []
-            for det in cfg.detectors:
-                kind = _EVOLVE_KIND[det]
-                if kind in seen:
-                    continue
-                seen.append(kind)
-                for it, sinr_db, ser, mse, ber in evolve_point(cfg, kind, snr, pi):
-                    emit(
-                        f"{snr:g},{kind},{it},{sinr_db:.10g},{ser:.10g},"
-                        f"{mse:.10g},{ber:.10g}"
-                    )
-    elif mode == "est-stats":
-        emit(EST_HEADER)
-        for pi, snr in enumerate(cfg.snr_db):
-            trials, dh_e, dh_t, dg_e, dg_t = est_stats_point(cfg, snr, pi)
-            emit(
-                f"{snr:g},{cfg.snr_pilot_db:g},{trials},{dh_e:.10g},{dh_t:.10g},"
-                f"{dg_e:.10g},{dg_t:.10g}"
-            )
-    else:
+    if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
+    _check_sweep(cfg, mode, cfg.detectors)
+    _, header, make_rows = SWEEP_MODES[mode]
+    lines = []
+    # closing shuts a BER sweep's worker pool down even if writing a row fails
+    with contextlib.closing(make_rows(cfg)) as rows:
+        for line in itertools.chain([header], rows):
+            lines.append(line)
+            if out is not None:
+                out.write(line + "\n")
+                out.flush()
     return "\n".join(lines) + "\n"

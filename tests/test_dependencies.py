@@ -1,5 +1,6 @@
 """The runtime dependencies declared in pyproject.toml are exactly the
-third-party modules the package imports."""
+third-party modules the package imports, and their floors admit no version
+lacking an API the package calls."""
 
 import ast
 import re
@@ -10,10 +11,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _declared():
+def _requirements():
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+        return tomllib.load(fh)["project"]["dependencies"]
+
+
+def _declared():
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in _requirements()}
 
 
 def _imported():
@@ -30,3 +34,11 @@ def _imported():
 def test_declared_dependencies_match_imports():
     assert _imported() == {"numpy", "scipy"}
     assert _declared() == _imported()
+
+
+def test_numpy_floor_excludes_1x():
+    # the engine writes FFTs through out= and counts bits with bitwise_count,
+    # both numpy 2.0 additions
+    (numpy,) = [d for d in _requirements() if d.lower().startswith("numpy")]
+    floor = re.fullmatch(r"numpy\s*>=\s*(\d+)(\.\d+)*", numpy.strip())
+    assert floor is not None and int(floor.group(1)) >= 2, numpy

@@ -83,6 +83,37 @@ class TestInit:
         with pytest.raises(ValueError):
             init_estimates(seq, desk_perfect, "nonsense")
 
+    @pytest.mark.parametrize("mode", ["zeros", "freq_mmse"])
+    def test_known_rows_start_pinned(self, mode, desk_channel, qam4):
+        # a desk pilot frame: the guard rows are pinned before the first sweep
+        params = desk_channel.params
+        rng = np.random.default_rng(29)
+        sz2 = 0.02
+        pcfg = PilotConfig(amplitude=30.0, max_delay=params.max_delay)
+        bits = rng.integers(0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol)
+        grid = embed_pilot(qam4.map_bits(bits), pcfg, params)
+        received = apply_channel(desk_channel, dd_to_time(grid), float(np.sqrt(sz2)), rng)
+        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sz2)
+        known_rows = np.zeros(params.n_delay, dtype=bool)
+        known_rows[pcfg.guard_rows(params)] = True
+        state = init_estimates(
+            received, est, mode, sz2, qam4.power,
+            known_rows=known_rows, known_grid=grid.entries,
+        )
+        rows = np.flatnonzero(known_rows)
+        pinned = state.shat.reshape(params.n_doppler, params.n_delay)[:, rows].T
+        np.testing.assert_array_equal(
+            pinned, np.fft.ifft(grid.entries[rows], axis=1, norm="ortho")
+        )
+        np.testing.assert_array_equal(state.frozen_rows, known_rows)
+        np.testing.assert_array_equal(
+            state.row_var, np.where(known_rows, 0.0, qam4.power)
+        )
+        np.testing.assert_allclose(
+            state.resid, _residual_oracle(state), rtol=0, atol=1e-12
+        )
+        assert state.dirty.all()
+
 
 class TestStackBranches:
     def test_exact_priors_leave_pure_signal(self, desk_channel, desk_perfect, qam4):
@@ -412,7 +443,6 @@ class TestEngine:
         [
             ("truth", {"truth": np.zeros(1, dtype=complex)}),
             ("true_indices", {"true_indices": np.zeros((16, 64), dtype=np.int64)}),
-            ("data_mask", {"data_mask": np.ones(64 * 16, dtype=bool)}),
             (
                 "known_rows",
                 {
@@ -429,6 +459,9 @@ class TestEngine:
                 },
             ),
         ],
+        # fixed ids, so that no case's id shifts when another case goes
+        ids=["truth-bad0", "true_indices-bad1", "known_rows-bad3", "known_grid-bad4",
+             "known_grid-bad5"],
     )
     def test_oracle_inputs_must_match_the_frame(
         self, name, bad, desk_channel, desk_perfect, qam4

@@ -87,6 +87,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key=value"):
             h.apply_config_text(h.desk_preset(), "just words\n")
 
+    @pytest.mark.parametrize(
+        "key", ["min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials"]
+    )
+    def test_counts_below_one_rejected(self, key):
+        # each would hang the stop rule or fail deep inside a sweep
+        with pytest.raises(ValueError, match=key):
+            h.desk_preset(**{key: 0})
+
     def test_estimated_mode_needs_pilot_snr(self):
         with pytest.raises(ValueError, match="snr_pilot_db"):
             h.desk_preset(pilot_mode="estimated")
