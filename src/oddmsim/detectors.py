@@ -77,22 +77,27 @@ DITHER_RATIO = 9.4
 class DetectorConfig:
     """Detector selection and iteration controls.
 
-    delta_d defaults to d_min/9.4 (resolved against the constellation at run
-    time). The initializer and the sweeps come from the kind's DETECTORS row.
+    The mrc_sd dither bound is delta_d = d_min / delta_d_ratio, resolved
+    against the constellation at run time. The initializer and the sweeps
+    come from the kind's DETECTORS row.
     """
 
     kind: str
     n_ite: int = 10
     m_0: int = 0
-    delta_d: float | None = None
+    delta_d_ratio: float = DITHER_RATIO
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown detector kind {self.kind!r}")
+            known = ", ".join(KINDS)
+            raise ValueError(f"unknown detector {self.kind!r} (known: {known})")
         if self.n_ite < 1:
             raise ValueError("n_ite must be at least 1")
         if self.m_0 < 0:
             raise ValueError("m_0 must be non-negative")
+        if not 2.0 < self.delta_d_ratio < float("inf"):
+            # keeps the dither bound d_min / ratio inside (0, d_min/2)
+            raise ValueError("delta_d_ratio must be finite and above 2")
 
     @property
     def initializer(self) -> str:
@@ -104,12 +109,7 @@ class DetectorConfig:
         return [first] + [later] * (self.n_ite - 1)
 
     def resolved_delta(self, constellation: Constellation) -> float:
-        delta = self.delta_d
-        if delta is None:
-            delta = constellation.d_min / DITHER_RATIO
-        if not 0.0 < delta < constellation.d_min / 2.0:
-            raise ValueError("dither bound must lie in (0, d_min/2)")
-        return delta
+        return constellation.d_min / self.delta_d_ratio
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .channel import ChannelProfile, apply_channel, eva_profile, sample_channel
-from .detectors import DITHER_RATIO, KINDS, DetectorConfig, run_detector
+from .detectors import DITHER_RATIO, DetectorConfig, run_detector
 from .modem import DDGrid, ModemParams, dd_to_time, make_constellation, time_to_dd
 from .pilot import (
     EstimatedChannel,
@@ -56,13 +56,23 @@ _ROLE_FRAME = 0
 _ROLE_DETECTOR = 1
 _ROLE_CHANNEL = 2
 
+# seconds per delay tap: the paper's resolution T/512 at T = 66.67 us, on
+# which every configuration places the EVA taps, whatever n_delay is
+_DELAY_RES = 66.67e-6 / 512
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description; the defaults are the paper preset.
 
-    params: ModemParams
-    profile: ChannelProfile
+    n_delay x n_doppler is the grid (M x N); k_max and max_tap (None keeps
+    every EVA tap) shape the channel profile.
+    """
+
+    n_delay: int = 512
+    n_doppler: int = 32
+    k_max: int = 5
+    max_tap: int | None = None
     qam: int = 4
     detectors: tuple = ("soft_sicmmse",)
     n_ite: int = 10
@@ -81,17 +91,30 @@ class SimConfig:
     est_trials: int = 10_000
 
     def __post_init__(self):
-        for key in ("min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials"):
+        for key in (
+            "min_frame_errors", "max_frames", "n_ite", "chunk", "sinr_frames",
+            "evolve_chans", "est_trials",
+        ):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         if self.pilot_mode not in PILOT_MODES:
             raise ValueError(f"unknown pilot mode {self.pilot_mode!r}")
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
             raise ValueError(f"pilot mode {self.pilot_mode!r} needs snr_pilot_db")
+        self.params  # a grid the channel profile does not fit fails here
+        make_constellation(self.qam)
+        if self.m_0 >= self.n_delay:
+            raise ValueError(f"m0={self.m_0} must be below n_delay={self.n_delay}")
         for kind in self.detectors:
-            if kind not in KINDS:
-                known = ", ".join(KINDS)
-                raise ValueError(f"unknown detector {kind!r} (known: {known})")
+            self.detector_config(kind)
+
+    @functools.cached_property
+    def profile(self) -> ChannelProfile:
+        return eva_profile(_DELAY_RES, self.k_max, self.max_tap)
+
+    @functools.cached_property
+    def params(self) -> ModemParams:
+        return ModemParams(self.n_delay, self.n_doppler, self.profile.max_delay)
 
     @property
     def sigma_dg2(self) -> float:
@@ -106,12 +129,11 @@ class SimConfig:
         return const, const.power * 10.0 ** (-snr_db / 10.0)
 
     def detector_config(self, kind: str) -> DetectorConfig:
-        const = make_constellation(self.qam)
         return DetectorConfig(
             kind=kind,
             n_ite=self.n_ite,
             m_0=self.m_0,
-            delta_d=const.d_min / self.delta_d_ratio,
+            delta_d_ratio=self.delta_d_ratio,
         )
 
 
@@ -146,33 +168,17 @@ class RunRecord:
 
 
 def desk_preset(**overrides) -> SimConfig:
-    """Fast small-frame setup: 64x16 grid, truncated EVA taps, k_max=3."""
-    t = 66.67e-6
-    profile = eva_profile(t / 512, k_max=3, max_tap=9)
-    params = ModemParams(
-        n_delay=64, n_doppler=16, sym_duration=t, max_delay=profile.max_delay
-    )
-    return replace(SimConfig(params=params, profile=profile), **overrides)
+    """Fast small-frame setup: 64x16 grid, EVA taps up to delay 9, k_max=3."""
+    desk = dict(n_delay=64, n_doppler=16, k_max=3, max_tap=9)
+    return SimConfig(**(desk | overrides))
 
 
 def paper_preset(**overrides) -> SimConfig:
     """Full-scale setup: 512x32 grid, nine EVA taps, k_max=5."""
-    t = 66.67e-6
-    profile = eva_profile(t / 512, k_max=5)
-    params = ModemParams(
-        n_delay=512, n_doppler=32, sym_duration=t, max_delay=profile.max_delay
-    )
-    return replace(SimConfig(params=params, profile=profile), **overrides)
+    return SimConfig(**overrides)
 
 
 PRESETS = {"desk": desk_preset, "paper": paper_preset}
-
-_INT_KEYS = {
-    "m", "n", "qam", "n_ite", "m0", "min_frame_errors", "max_frames", "seed",
-    "workers", "chunk", "sinr_frames", "evolve_chans", "est_trials", "kmax",
-    "max_tap",
-}
-_FLOAT_KEYS = {"t_us", "delta_d_ratio", "snr_pilot_db"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -189,59 +195,45 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _list_of(parse):
+    """Parser of a comma-separated list of values."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+# configuration key -> (SimConfig field, parser of the value text)
+_KEYS = {
+    "m": ("n_delay", int),
+    "n": ("n_doppler", int),
+    "kmax": ("k_max", int),
+    "max_tap": ("max_tap", int),
+    "qam": ("qam", int),
+    "detector": ("detectors", _list_of(str)),
+    "n_ite": ("n_ite", int),
+    "m0": ("m_0", int),
+    "delta_d_ratio": ("delta_d_ratio", float),
+    "snr_db": ("snr_db", _list_of(float)),
+    "pilot_mode": ("pilot_mode", str),
+    "snr_pilot_db": ("snr_pilot_db", float),
+    "min_frame_errors": ("min_frame_errors", int),
+    "max_frames": ("max_frames", int),
+    "seed": ("seed", int),
+    "workers": ("workers", int),
+    "chunk": ("chunk", int),
+    "sinr_frames": ("sinr_frames", int),
+    "evolve_chans": ("evolve_chans", int),
+    "est_trials": ("est_trials", int),
+}
+
+
 def apply_config_text(cfg: SimConfig, text: str) -> SimConfig:
     """Overlay key=value settings onto a preset configuration."""
-    kv = parse_config_text(text)
-    params_kw = {}
-    profile_kw = {}
-    cfg_kw = {}
-    for key, value in kv.items():
-        if key in ("m", "n", "t_us"):
-            params_kw[key] = value
-        elif key in ("kmax", "max_tap"):
-            profile_kw[key] = value
-        elif key == "detector":
-            cfg_kw["detectors"] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "snr_db":
-            cfg_kw["snr_db"] = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "pilot_mode":
-            cfg_kw["pilot_mode"] = value
-        elif key == "m0":
-            cfg_kw["m_0"] = int(value)
-        elif key in _INT_KEYS:
-            cfg_kw[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            cfg_kw[key] = float(value)
-        else:
+    changes = {}
+    for key, value in parse_config_text(text).items():
+        if key not in _KEYS:
             raise ValueError(f"unknown configuration key {key!r}")
-
-    params = cfg.params
-    profile = cfg.profile
-    if params_kw or profile_kw:
-        t = float(params_kw.get("t_us", params.sym_duration * 1e6)) * 1e-6
-        m = int(params_kw.get("m", params.n_delay))
-        n = int(params_kw.get("n", params.n_doppler))
-        k_max = int(profile_kw.get("kmax", profile.k_max))
-        max_tap = profile_kw.get("max_tap")
-        # tap indices follow the full-scale delay resolution of the profile
-        profile = ChannelProfile(
-            delays=profile.delays, powers=profile.powers, k_max=k_max
-        )
-        if max_tap is not None:
-            keep = [
-                (d, p)
-                for d, p in zip(profile.delays, profile.powers)
-                if d <= int(max_tap)
-            ]
-            profile = ChannelProfile(
-                delays=tuple(d for d, _ in keep),
-                powers=tuple(p for _, p in keep),
-                k_max=k_max,
-            )
-        params = ModemParams(
-            n_delay=m, n_doppler=n, sym_duration=t, max_delay=profile.max_delay
-        )
-    return replace(cfg, params=params, profile=profile, **cfg_kw)
+        field, parse = _KEYS[key]
+        changes[field] = parse(value)
+    return replace(cfg, **changes)
 
 
 def load_config(path, base: SimConfig) -> SimConfig:
@@ -288,7 +280,7 @@ def _transmit(cfg: SimConfig, ch, const, sigma_z2: float, rng, pcfg=None):
     elif cfg.pilot_mode == "synthetic":
         est = perturb_channel(ch, cfg.sigma_dg2 / params.n_doppler, rng)
     else:
-        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sigma_z2)
+        est = estimate_channel(time_to_dd(received), pcfg)
     return grid, seq, received, est, bits.size
 
 
@@ -494,7 +486,7 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
         ch = sample_channel(cfg.profile, params, rng)
         grid = embed_pilot(data, pcfg, params)
         received = apply_channel(ch, dd_to_time(grid), float(np.sqrt(sigma_z2)), rng)
-        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sigma_z2)
+        est = estimate_channel(time_to_dd(received), pcfg)
         true_taps = np.zeros_like(est.taps)
         for pth in ch.paths:
             true_taps[pth.delay, pth.doppler + half] += pth.gain

@@ -27,13 +27,11 @@ class ModemParams:
 
     n_delay  : number of delay bins (M), also the multicarrier symbol count
     n_doppler: number of Doppler bins (N), subcarriers per symbol
-    sym_duration: multicarrier symbol duration T in seconds
     max_delay: maximum channel delay index (also the CP length)
     """
 
     n_delay: int
     n_doppler: int
-    sym_duration: float = 66.67e-6
     max_delay: int = 0
 
     def __post_init__(self):
@@ -43,23 +41,11 @@ class ModemParams:
             )
         if self.n_doppler < 2:
             raise ValueError("n_doppler must be at least 2")
-        if self.sym_duration <= 0:
-            raise ValueError("sym_duration must be positive")
 
     @property
     def frame_len(self) -> int:
         """Total number of time samples per frame (M*N)."""
         return self.n_delay * self.n_doppler
-
-    @property
-    def delay_res(self) -> float:
-        """Time resolution of the delay axis, T/M."""
-        return self.sym_duration / self.n_delay
-
-    @property
-    def doppler_res(self) -> float:
-        """Frequency resolution of the Doppler axis, 1/(NT)."""
-        return 1.0 / (self.n_doppler * self.sym_duration)
 
 
 @dataclass

@@ -100,8 +100,7 @@ class EstimatedChannel:
     delay rows that may be nonzero (all rows for a pilot-based estimate, the
     true sparse support under perfect CSI), and the rows off it must be zero.
     The detectors read every row, so the zeros keep their sums exactly those
-    over the support. sigma_dg2 is the per-sample variance of the
-    time-domain gain error, zero for perfect CSI.
+    over the support.
     """
 
     def __init__(
@@ -109,13 +108,11 @@ class EstimatedChannel:
         gains: np.ndarray,
         support,
         params: ModemParams,
-        sigma_dg2: float = 0.0,
         taps: np.ndarray | None = None,
     ):
         self.gains = np.ascontiguousarray(gains, dtype=np.complex128)
         self.support = tuple(int(l) for l in support)
         self.params = params
-        self.sigma_dg2 = float(sigma_dg2)
         self.taps = taps
         self.l_max = self.gains.shape[0] - 1
         if self.gains.shape[1] != params.frame_len:
@@ -127,9 +124,7 @@ class EstimatedChannel:
     @classmethod
     def from_true(cls, ch: DiscreteChannel) -> "EstimatedChannel":
         """Perfect-CSI view of a channel realization."""
-        return cls(
-            ch.gain_table(), support=ch.support, params=ch.params, sigma_dg2=0.0
-        )
+        return cls(ch.gain_table(), support=ch.support, params=ch.params)
 
 
 def _doppler_axis(params: ModemParams) -> np.ndarray:
@@ -137,9 +132,7 @@ def _doppler_axis(params: ModemParams) -> np.ndarray:
     return np.arange(-(n // 2), n - n // 2)
 
 
-def gains_from_estimate(
-    taps: np.ndarray, params: ModemParams, sigma_dg2: float = 0.0
-) -> EstimatedChannel:
+def gains_from_estimate(taps: np.ndarray, params: ModemParams) -> EstimatedChannel:
     """Dense DD taps (l_max+1, N) -> per-tap time gains via one MN-point IDFT per row.
 
     g_hat[l, q] = sum_k h_hat[l, k] * exp(j*2*pi*k*(q-l)/(MN)) over the dense
@@ -157,14 +150,10 @@ def gains_from_estimate(
         # fold the (q - l) shift into the coefficients
         buf[ks % mn] = taps[l] * np.exp(-2j * np.pi * ks * l / mn)
         gains[l] = np.fft.ifft(buf) * mn
-    return EstimatedChannel(
-        gains, support=range(n_rows), params=params, sigma_dg2=sigma_dg2, taps=taps
-    )
+    return EstimatedChannel(gains, support=range(n_rows), params=params, taps=taps)
 
 
-def estimate_channel(
-    grid: DDGrid, cfg: PilotConfig, sigma_z2: float = 0.0
-) -> EstimatedChannel:
+def estimate_channel(grid: DDGrid, cfg: PilotConfig) -> EstimatedChannel:
     """Read the dense channel response off the received pilot block.
 
     Every cell in the (l_max+1) x N window is divided by the pilot's phase-
@@ -181,8 +170,7 @@ def estimate_channel(
     block = grid.entries[mp : mp + lm + 1][:, cols]
     divisor = cfg.amplitude * np.exp(2j * np.pi * mp * ks / params.frame_len)
     taps = block / divisor[None, :]
-    sigma_dg2 = sigma_z2 * params.n_doppler / cfg.dd_power
-    return gains_from_estimate(taps, params, sigma_dg2=sigma_dg2)
+    return gains_from_estimate(taps, params)
 
 
 def perturb_channel(
@@ -209,7 +197,7 @@ def perturb_channel(
         taps = taps + np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(taps.shape) + 1j * rng.standard_normal(taps.shape)
         )
-    return gains_from_estimate(taps, params, sigma_dg2=n * sigma2)
+    return gains_from_estimate(taps, params)
 
 
 def serialize_estimate(est: EstimatedChannel) -> str:
@@ -225,9 +213,7 @@ def serialize_estimate(est: EstimatedChannel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def deserialize_estimate(
-    text: str, params: ModemParams, sigma_dg2: float = 0.0
-) -> EstimatedChannel:
+def deserialize_estimate(text: str, params: ModemParams) -> EstimatedChannel:
     """Parse the dense text format written by :func:`serialize_estimate`."""
     rows = {}
     for line in text.strip().splitlines():
@@ -240,4 +226,4 @@ def deserialize_estimate(
     half = params.n_doppler // 2
     for (l, k), h in rows.items():
         taps[l, k + half] = h
-    return gains_from_estimate(taps, params, sigma_dg2=sigma_dg2)
+    return gains_from_estimate(taps, params)

@@ -15,7 +15,7 @@ PAPER_DELAY_RES = PAPER_T / 512
 
 @pytest.fixture(scope="session")
 def desk_params():
-    return ModemParams(n_delay=64, n_doppler=16, sym_duration=PAPER_T, max_delay=8)
+    return ModemParams(n_delay=64, n_doppler=16, max_delay=8)
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,7 @@ def test_criterion_6_estimation_error_law():
     trials = 10_000
     for _ in range(trials):
         received = o.apply_channel(ch, clean, float(np.sqrt(sz2)), rng)
-        est = o.estimate_channel(o.time_to_dd(received), pcfg, sigma_z2=sz2)
+        est = o.estimate_channel(o.time_to_dd(received), pcfg)
         err = est.gains[:, ::128] - true_gains[:, ::128]
         acc += float(np.sum(np.abs(err) ** 2))
         count += err.size

@@ -324,7 +324,7 @@ class TestMrcSdBound:
             res = run_detector(
                 received,
                 desk_perfect,
-                DetectorConfig(kind="mrc_sd", n_ite=10, delta_d=delta),
+                DetectorConfig(kind="mrc_sd", n_ite=10),
                 qam4,
                 rng,
                 sigma_z2=sz2,

@@ -28,7 +28,7 @@ from oddmsim.channel import (
     serialize_paths,
     spreading_stack,
 )
-from conftest import PAPER_DELAY_RES, PAPER_T
+from conftest import PAPER_DELAY_RES
 from oracles import mmse_combine
 
 
@@ -286,9 +286,7 @@ class TestMmseFilters:
     def test_batch_size_does_not_change_results(self, sz2):
         # paper-scale geometry, the size of one analysis chunk
         prof = eva_profile(PAPER_DELAY_RES, k_max=5)
-        p = ModemParams(
-            n_delay=512, n_doppler=32, sym_duration=PAPER_T, max_delay=prof.max_delay
-        )
+        p = ModemParams(n_delay=512, n_doppler=32, max_delay=prof.max_delay)
         ch = sample_channel(prof, p, np.random.default_rng(34))
         table = ch.gain_table()
         lm = ch.l_max

@@ -93,7 +93,7 @@ class TestInit:
         bits = rng.integers(0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol)
         grid = embed_pilot(qam4.map_bits(bits), pcfg, params)
         received = apply_channel(desk_channel, dd_to_time(grid), float(np.sqrt(sz2)), rng)
-        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sz2)
+        est = estimate_channel(time_to_dd(received), pcfg)
         known_rows = np.zeros(params.n_delay, dtype=bool)
         known_rows[pcfg.guard_rows(params)] = True
         state = init_estimates(
@@ -377,7 +377,7 @@ class TestEngine:
         grid = embed_pilot(qam4.map_bits(data_bits), pcfg, params)
         seq = dd_to_time(grid)
         received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-        est = estimate_channel(time_to_dd(received), pcfg, sigma_z2=sz2)
+        est = estimate_channel(time_to_dd(received), pcfg)
         known_rows = np.zeros(params.n_delay, dtype=bool)
         known_rows[pcfg.guard_rows(params)] = True
         res = run_detector(
@@ -429,14 +429,13 @@ class TestEngine:
         )
         np.testing.assert_array_equal(res_ssmi.index_grid, res_soft.index_grid)
 
-    def test_config_validation(self, qam4):
+    def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectorConfig(kind="turbo")
         with pytest.raises(ValueError):
             DetectorConfig(kind="mrc", n_ite=0)
-        cfg = DetectorConfig(kind="mrc_sd", delta_d=2.0)
         with pytest.raises(ValueError):
-            cfg.resolved_delta(qam4)  # 2.0 >= d_min/2
+            DetectorConfig(kind="mrc_sd", delta_d_ratio=2.0)  # bound d_min/2
 
     @pytest.mark.parametrize(
         "name, bad",

@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ class TestPresets:
         cfg = h.paper_preset()
         assert cfg.params.n_delay == 512
         assert cfg.params.n_doppler == 32
-        assert cfg.params.sym_duration == pytest.approx(66.67e-6)
         assert cfg.qam == 4
         assert cfg.profile.delays == (0, 0, 1, 2, 3, 5, 8, 13, 19)
         assert cfg.profile.k_max == 5
@@ -41,6 +42,25 @@ class TestPresets:
         assert cfg.profile.delays == (0, 0, 1, 2, 3, 5, 8)
         assert cfg.profile.k_max == 3
 
+    def test_derived_geometry_follows_replace(self):
+        cfg = h.desk_preset()
+        assert cfg.profile.delays == (0, 0, 1, 2, 3, 5, 8)  # fill both caches
+        assert cfg.params.n_delay == 64
+        assert dataclasses.replace(cfg, max_tap=5).profile.delays == (0, 0, 1, 2, 3, 5)
+        assert dataclasses.replace(cfg, max_tap=5).params.max_delay == 5
+        assert dataclasses.replace(cfg, n_delay=32).params.n_delay == 32
+        assert dataclasses.replace(cfg, k_max=1).profile.k_max == 1
+
+
+def _readme_config():
+    """README's fenced configuration block and its "Extra keys" names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = "The configuration file is flat `key = value` text"
+    block = readme.split(intro, 1)[1].split("```", 2)[1]
+    extra_line = readme.split("Extra keys:", 1)[1].split("\n\n", 1)[0]
+    extra = set(re.findall(r"`(\w+)`", extra_line.split(". ", 1)[0]))
+    return block, extra
+
 
 class TestConfigParsing:
     def test_round_trip_of_documented_keys(self):
@@ -48,8 +68,7 @@ class TestConfigParsing:
         # comment line
         m = 32
         n = 8
-        t_us = 66.67
-        qam = 4
+        qam = 16
         detector = mrc, soft_sicmmse
         n_ite = 6
         m0 = 3
@@ -60,20 +79,63 @@ class TestConfigParsing:
         min_frame_errors = 7
         max_frames = 99
         seed = 77
+        workers = 3
+        kmax = 2
+        max_tap = 5
+        chunk = 5
+        sinr_frames = 6
+        evolve_chans = 4
+        est_trials = 50
         """
         cfg = h.apply_config_text(h.desk_preset(), text)
-        assert cfg.params.n_delay == 32
-        assert cfg.params.n_doppler == 8
-        assert cfg.detectors == ("mrc", "soft_sicmmse")
-        assert cfg.n_ite == 6
-        assert cfg.m_0 == 3
-        assert cfg.delta_d_ratio == 8.0
-        assert cfg.snr_db == (10.0, 12.5, 15.0)
-        assert cfg.pilot_mode == "synthetic"
-        assert cfg.snr_pilot_db == 35.0
-        assert cfg.min_frame_errors == 7
-        assert cfg.max_frames == 99
-        assert cfg.seed == 77
+        expected = dict(
+            n_delay=32,
+            n_doppler=8,
+            qam=16,
+            detectors=("mrc", "soft_sicmmse"),
+            n_ite=6,
+            m_0=3,
+            delta_d_ratio=8.0,
+            snr_db=(10.0, 12.5, 15.0),
+            pilot_mode="synthetic",
+            snr_pilot_db=35.0,
+            min_frame_errors=7,
+            max_frames=99,
+            seed=77,
+            workers=3,
+            k_max=2,
+            max_tap=5,
+            chunk=5,
+            sinr_frames=6,
+            evolve_chans=4,
+            est_trials=50,
+        )
+        assert set(h.parse_config_text(text)) == set(h._KEYS)
+        assert {field for field, _ in h._KEYS.values()} == set(expected)
+        assert {f: getattr(cfg, f) for f in expected} == expected
+        assert cfg.profile.delays == (0, 0, 1, 2, 3, 5)
+        assert cfg.profile.k_max == 2
+        assert (cfg.params.n_delay, cfg.params.n_doppler, cfg.params.max_delay) == (32, 8, 5)
+
+    @pytest.mark.parametrize("preset", sorted(h.PRESETS))
+    def test_readme_config_block_parses(self, preset):
+        # ties the documented keys to the parser, so a dead key cannot linger
+        block, extra = _readme_config()
+        cfg = h.apply_config_text(h.PRESETS[preset](), block)
+        assert (cfg.params.n_delay, cfg.params.n_doppler) == (512, 32)
+        assert set(h.parse_config_text(block)) | extra == set(h._KEYS)
+
+    def test_max_tap_filters_the_full_profile(self):
+        cfg = h.apply_config_text(h.desk_preset(), "max_tap = 19")
+        assert cfg.profile.delays == (0, 0, 1, 2, 3, 5, 8, 13, 19)
+        assert cfg.params.max_delay == 19
+
+    @pytest.mark.parametrize(
+        "text", ["m = 16", "n = 1", "m = 32\nmax_tap = 19"], ids=["m16", "n1", "m32-tap19"]
+    )
+    def test_bad_geometry_rejected_at_config_time(self, text):
+        with pytest.raises(ValueError, match="n_delay|n_doppler"):
+            h.apply_config_text(h.desk_preset(), text)
 
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="'mrcc'"):
@@ -94,6 +156,27 @@ class TestConfigParsing:
         # each would hang the stop rule or fail deep inside a sweep
         with pytest.raises(ValueError, match=key):
             h.desk_preset(**{key: 0})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_frames", 0, "max_frames"),
+            ("n_ite", 0, "n_ite"),
+            ("qam", 3, "order 3"),
+            ("m_0", 64, "m0=64"),
+            ("m_0", -1, "m_0"),
+            ("delta_d_ratio", 2.0, "delta_d_ratio"),
+            ("delta_d_ratio", 0.0, "delta_d_ratio"),
+        ],
+        ids=["max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0"],
+    )
+    def test_bad_value_rejected_before_any_output(self, key, value, message):
+        # each used to pass the config and fail at the first frame, after the
+        # CSV header, or to print a BER measured on zero frames
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            h.run_sweep(_tiny_cfg(**{key: value}), "ber", out=out)
+        assert out.getvalue() == ""
 
     def test_estimated_mode_needs_pilot_snr(self):
         with pytest.raises(ValueError, match="snr_pilot_db"):

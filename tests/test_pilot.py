@@ -106,13 +106,12 @@ class TestEstimate:
         trials = 10_000
         for _ in range(trials):
             noisy = apply_channel(ch, clean, sz, rng)
-            est = estimate_channel(time_to_dd(noisy), cfg, sigma_z2=sz**2)
+            est = estimate_channel(time_to_dd(noisy), cfg)
             err = est.taps - true
             acc += float(np.sum(np.abs(err) ** 2))
             count += err.size
         emp = acc / count
         assert abs(emp - sz**2 / 100.0) < 0.05 * sz**2 / 100.0
-        assert est.sigma_dg2 == pytest.approx(sz**2 * p.n_doppler / 100.0)
 
 
 class TestPerturb:
@@ -232,8 +231,8 @@ class TestSerialization:
         p = _params(m=16, n=8, lmax=3)
         rng = np.random.default_rng(25)
         taps = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        est = gains_from_estimate(taps, p, sigma_dg2=0.1)
-        back = deserialize_estimate(serialize_estimate(est), p, sigma_dg2=0.1)
+        est = gains_from_estimate(taps, p)
+        back = deserialize_estimate(serialize_estimate(est), p)
         assert np.abs(back.taps - est.taps).max() < 1e-15
         assert np.abs(back.gains - est.gains).max() < 1e-9
 
@@ -248,8 +247,8 @@ class TestSerialization:
         p = ModemParams(n_delay=m, n_doppler=n)
         rng = np.random.default_rng(seed)
         taps = rng.standard_normal((l_max + 1, n)) + 1j * rng.standard_normal((l_max + 1, n))
-        est = gains_from_estimate(taps, p, sigma_dg2=0.1)
-        back = deserialize_estimate(serialize_estimate(est), p, sigma_dg2=0.1)
+        est = gains_from_estimate(taps, p)
+        back = deserialize_estimate(serialize_estimate(est), p)
         assert np.array_equal(back.taps, est.taps)
         assert np.array_equal(back.gains, est.gains)
 
