@@ -7,9 +7,10 @@ hard-cancellation MMSE from the second iteration onward) averages over symbol
 errors of known variance and over the dense Gaussian channel-estimation
 error; with both symbol-error variances at zero it is the ideal-cancellation
 upper bound shared by all detectors. The soft-cancellation form holds only
-under perfect channel knowledge. Soft filters are built with the detectors'
-sub-channel primitive (channel.spreading_stack and channel.mmse_filters), so
-the analysis and the soft MMSE rows share one filter.
+under perfect channel knowledge. Soft filters are built from the batched
+sub-channel stack (channel.spreading_stack and channel.mmse_filters). The
+detectors' soft MMSE rows form the same filter from sliding covariance
+windows, and the detector tests check them against this build.
 """
 
 from dataclasses import dataclass

@@ -4,8 +4,10 @@ A channel realization is a set of on-grid paths (delay index, Doppler index,
 complex gain). The production receive path applies the channel sample by
 sample; a dense matrix builder and a delay-Doppler-domain reference output are
 kept as independent test oracles. The sub-channel around one symbol has a
-per-symbol oracle (subchannel) and the batched form the detectors and the
-analysis share (spreading_stack, with its MMSE solve mmse_filters).
+per-symbol oracle (subchannel) and a batched form (spreading_stack, with its
+MMSE solve mmse_filters) that the analysis builds its filters from and the
+detector tests check against. The detectors' MMSE rows slide windows of the
+banded covariance instead, appending one column from band_columns per row.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ __all__ = [
     "subchannel",
     "spreading_stack",
     "mmse_filters",
+    "band_columns",
     "dd_reference_output",
     "serialize_paths",
     "deserialize_paths",
@@ -300,6 +303,38 @@ def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
         y = np.einsum("njk,nk->nj", np.linalg.pinv(a, hermitian=True), g_own)
     mu = np.einsum("nj,nj->n", np.conj(y), g_own).real
     return y, mu
+
+
+def band_columns(block: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:
+    """Band columns of the covariance R = sigma_z2 I + G diag(v) G^H.
+
+    block[i, d, k] = g[d, p_i - k] is the (l_max+1) x (l_max+1) block of
+    tap gains over the samples p_i - l_max..p_i, and v[t] is the variance of
+    the symbol at p_i - t (shared by every i). Returns col[i, k] = R[p_i - k,
+    p_i] for k = 0..l_max: the column at sample p_i, from its diagonal up.
+    Symbol p - t reaches samples p - k and p through taps t - k and t, so
+
+        col[i, k] = sum_{d=0}^{l_max-k} g[d, p-k] v[d+k] conj(g[d+k, p])
+
+    (with sigma_z2 added at k = 0). The products v[t] conj(g[t, p]) are laid
+    out with l_max trailing zeros, and a Hankel view of them, w[i, d, k] =
+    that product at t = d+k, turns the sum into one elementwise product and
+    one reduction over d.
+    """
+    count, rows = block.shape[0], block.shape[1]
+    padded = np.zeros((count, 2 * rows - 1), dtype=np.complex128)
+    np.multiply(np.conj(block[:, :, 0]), v, out=padded[:, :rows])
+    isz = padded.itemsize
+    hankel = np.ndarray(
+        (count, rows, rows),
+        padded.dtype,
+        buffer=padded,
+        strides=((2 * rows - 1) * isz, isz, isz),
+    )
+    col = np.add.reduce(block * hankel, axis=1)
+    # the diagonal is real: drop the rounding residue of its imaginary part
+    col[:, 0] = col[:, 0].real + sigma_z2
+    return col
 
 
 def dd_reference_output(ch: DiscreteChannel, grid: DDGrid) -> DDGrid:

@@ -9,9 +9,17 @@ processed one at a time, the N symbols of a row are equalized in parallel,
 sliced in the DD domain, and the updated estimates are fed back into the
 running residual immediately. The residual vector e = r - G_hat @ s_hat is
 maintained incrementally; each symbol update touches only the received
-samples its delay taps reach. MMSE rows build their filters with the same
-sub-channel primitive as the soft-cancellation analysis
-(channel.spreading_stack and channel.mmse_filters).
+samples its delay taps reach.
+
+An MMSE row's covariance is a principal (l_max+1)-square window of the
+banded R = sigma_z2 I + G_hat diag(v) G_hat^H, and consecutive rows of one
+Doppler lane share all but one of its samples. So an MMSE sweep keeps one
+window per lane and slides it from row to row (_LaneWindows): one fresh band
+column in (channel.band_columns), a rank-1 patch when the slicer changes a
+row's variance, and one batched Cholesky factorization of the bordered
+windows per row. The analysis keeps building its filters from the
+sub-channel stack (channel.spreading_stack and channel.mmse_filters), and
+the tests check the windows against that build.
 
 Row m reads and patches one (l_max+1, N) window: the gains
 g_hat[l, nM+m+l] and the residual samples e[nM+m+l] for every tap l and
@@ -45,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import mmse_filters, spreading_stack
+from .channel import band_columns
 from .modem import Constellation, DDGrid, TimeSequence
 from .pilot import EstimatedChannel
 
@@ -326,12 +334,175 @@ def _combine_mrc(state, m, g, branches):
     return np.add.reduce(np.conj(g) * branches, axis=0) / energy, energy
 
 
-def _combine_mmse(state, q_vec, v_diag, branches, sigma_z2):
+def _sq_norms(x):
+    """Row sums of |x|^2 for a complex array whose rows are contiguous."""
+    re_im = x.view(np.float64)
+    return np.einsum("nj,nj->n", re_im, re_im)
+
+
+class _LaneWindows:
+    """The MMSE covariance windows of the N Doppler lanes, slid row by row.
+
+    At delay row m, lane n holds the window R[q+a, q+b], a, b <= l_max, at
+    q = nM + m, of the banded R = sigma_z2 I + G_hat diag(v) G_hat^H, where
+    v gives every symbol its row's current variance. The window is the
+    covariance the row's MMSE filter needs, except that the own symbol
+    enters at row_var[m] rather than at full power.
+
+    Sliding to the next row drops the window's first sample and appends the
+    next one: its band column R[p-k, p], k <= l_max, is computed fresh by
+    channel.band_columns with the current row_var. The windows are ring
+    buffers: the sample at offset l of the current row sits in slot
+    (phase + l) mod (l_max+1), so the appended sample takes the dropped one's
+    slot and nothing else moves. Every quadratic form the filter needs is
+    unchanged by that simultaneous permutation of rows, columns and vectors.
+    When the slicer changes row_var[m], the symbol at q changes the window
+    by the rank-1 term dv g g^H, g its spreading vector over q..q+l_max; no
+    other window holds a sample it reaches. Past row M-1 the next row is
+    row 0 of the next lane, so the lanes roll by one Doppler index.
+
+    A sweep starts l_max+1 rows before m_0 and slides over frozen rows too,
+    so every entry has been written with current variances (or patched
+    since) by the time a row reads it.
+    """
+
+    def __init__(self, state: SymbolState, sigma_z2: float, m_0: int):
+        est = state.est
+        gains, lm = est.gains, est.l_max
+        m_count, n = est.params.n_delay, est.params.n_doppler
+        mn = est.params.frame_len
+        size = lm + 1
+        self.state = state
+        self.sigma_z2 = sigma_z2
+        self.size = size
+        self.window = np.zeros((n, size, size), dtype=np.complex128)
+        # each row's solve copies the windows in here and borders them with
+        # rows and columns for g and the branches
+        self._bordered = np.zeros((n, size + 2, size + 2), dtype=np.complex128)
+        self._outer = np.empty_like(self.window)
+        # rot[j, s] = (j + s) mod size: the slot of offset s at phase j, and,
+        # at phase -j, the offset held in slot s
+        rot = (np.arange(size)[:, None] + np.arange(size)) % size
+        self._rot = rot
+        # a column appended at phase j, in slot order: slot s holds offset
+        # (s - j) mod size, which is entry k = l_max - offset of the column
+        self._column_order = lm - rot[(-np.arange(size)) % size]
+        # rows of the symbols p - t, t <= l_max, reaching row m's last sample p
+        ahead = lm - np.arange(size)
+        self._column_rows = (np.arange(m_count)[:, None] + ahead) % m_count
+        # block[n, d, k] = gains[d, nM + m + l_max - k], the taps of row m's
+        # appended column: a zero-copy view while no index wraps past MN
+        isz = gains.itemsize
+        self._blocks = np.ndarray(
+            (m_count - lm, n, size, size),
+            gains.dtype,
+            buffer=gains,
+            offset=lm * isz,
+            strides=(isz, m_count * isz, mn * isz, -isz),
+        )
+        self._wrap_index = (
+            np.arange(size)[:, None] * mn,  # tap d
+            np.arange(n)[:, None, None] * m_count + ahead,  # sample, less m
+        )
+        self.phase = 0
+        self.m = (m_0 - size) % m_count
+        for _ in range(size):
+            self._slide()
+
+    def _slide(self):
+        gains = self.state.est.gains
+        m_count = self.state.row_var.shape[0]
+        m = (self.m + 1) % m_count
+        if m == 0:
+            # lane n's next window is lane n+1's first
+            self.window[...] = np.roll(self.window, 1, axis=0)
+        if m < self._blocks.shape[0]:
+            block = self._blocks[m]
+        else:
+            taps, samples = self._wrap_index
+            block = np.take(gains, taps + (samples + m) % gains.shape[1])
+        v = self.state.row_var[self._column_rows[m]]
+        col = band_columns(block, v, self.sigma_z2)
+        slot = self.phase  # the dropped sample's slot
+        self.phase = (self.phase + 1) % self.size
+        col = col[:, self._column_order[self.phase]]
+        self.window[:, :, slot] = col
+        self.window[:, slot, :] = np.conj(col)
+        self.m = m
+
+    def advance(self, m: int):
+        """Slide the windows on to row m."""
+        while self.m != m:
+            self._slide()
+
+    def in_sample_order(self) -> np.ndarray:
+        """(N, l_max+1, l_max+1) copy of the windows, offset 0 first."""
+        order = self._rot[self.phase]
+        return self.window[:, order][:, :, order]
+
+    def filter(self, g, branches):
+        """s_tilde and mu of every lane, with the own symbol at full power.
+
+        With sigma_z2 > 0, one Cholesky factorization of the window R
+        bordered by g^H and b^H (b the branches) and a corner tau I gives,
+        in its last two rows, (L^-1 g)^H and (L^-1 b)^H. Those rows do not
+        depend on tau; tau only has to keep the corner's pivots positive,
+        which tau > (|g|^2 + |b|^2) / sigma_z2, the largest their Gram
+        matrix can be, does in exact arithmetic. tau is twice that, plus 1,
+        so that the factorization's rounding at high SNR cannot use it up.
+        The own symbol's full power P then enters by Sherman-Morrison: with
+        gx = g^H R^-1 g and c = P - row_var[m], s_tilde = g^H R^-1 b / gx
+        and mu = gx / (1 + c gx).
+
+        Without noise the window can be singular, and the filter is the
+        pseudo-inverse one on the explicit covariance; so it is when the
+        noise is too weak for the factorization to succeed.
+        """
+        size = self.size
+        slots = self._rot[(-self.phase) % size]  # offset held in each slot
+        gs = g[slots].T.copy()  # (N, size), slot order, C-contiguous
+        bs = branches[slots].T.copy()
+        v_own = self.state.row_var[self.m]
+        c = self.state.power - v_own
+        self._gs, self._v_own = gs, v_own
+        if self.sigma_z2 > 0.0:
+            bd = self._bordered
+            bd[:, :size, :size] = self.window
+            bd[:, size, :size] = np.conj(gs)
+            bd[:, :size, size] = gs
+            bd[:, size + 1, :size] = np.conj(bs)
+            bd[:, :size, size + 1] = bs
+            tau = 2.0 * (_sq_norms(gs) + _sq_norms(bs)) / self.sigma_z2 + 1.0
+            bd[:, size, size] = tau
+            bd[:, size + 1, size + 1] = tau
+            try:
+                low = np.linalg.cholesky(bd)
+            except np.linalg.LinAlgError:
+                low = None
+            if low is not None:
+                u, w = low[:, size, :size], low[:, size + 1, :size]
+                gx = _sq_norms(u)
+                gb = np.einsum("nj,nj->n", u, np.conj(w))
+                return gb / gx, gx / (1.0 + c * gx)
+        cov = self.window + c * (gs[:, :, None] * np.conj(gs[:, None, :]))
+        y = np.einsum("njk,nk->nj", np.linalg.pinv(cov, hermitian=True), gs)
+        mu = np.einsum("nj,nj->n", np.conj(y), gs).real
+        return np.einsum("nj,nj->n", np.conj(y), bs) / mu, mu
+
+    def patch(self, var: float):
+        """Carry a change of row_var[m] from its value at filter() to var."""
+        dv = var - self._v_own
+        if dv != 0.0:
+            gs = self._gs
+            # on contiguous arrays: numpy takes several times longer on strided views
+            np.multiply((dv * gs)[:, :, None], np.conj(gs)[:, None, :], out=self._outer)
+            np.add(self.window, self._outer, out=self.window)
+
+
+def _combine_mmse(lanes, g, branches):
     """Normalized MMSE outputs, mu and post-MMSE variances of one row."""
-    stack = spreading_stack(state.est.gains, q_vec)  # (N, rows, cols)
-    y, mu = mmse_filters(stack, v_diag, sigma_z2)
-    s_tilde = np.einsum("nj,jn->n", np.conj(y), branches) / mu
-    post_var = state.power * (1.0 - mu) / mu
+    s_tilde, mu = lanes.filter(g, branches)
+    post_var = lanes.state.power * (1.0 - mu) / mu
     return s_tilde, mu, np.maximum(post_var, 0.0)
 
 
@@ -398,6 +569,8 @@ def run_iteration(
     equalized_rows = state.equalized.reshape(n, m_count)
     normalizer_rows = state.normalizer.reshape(n, m_count)
 
+    lanes = _LaneWindows(state, sigma_z2, m_0) if combine == "mmse" else None
+
     order = (m_0 + np.arange(m_count)) % m_count
     for m in order[~state.frozen_rows[order]].tolist():
         if skip_clean and not state.dirty[m]:
@@ -416,11 +589,8 @@ def run_iteration(
         if combine == "mrc":
             s_tilde, norm = _combine_mrc(state, m, g, branches)
         else:
-            v_diag = state.row_var[around[m]]
-            v_diag[lm] = state.power  # own symbol carries full prior power
-            s_tilde, norm, post_var = _combine_mmse(
-                state, window_offsets[0] + m, v_diag, branches, sigma_z2
-            )
+            lanes.advance(m)
+            s_tilde, norm, post_var = _combine_mmse(lanes, g, branches)
 
         x_tilde = np.fft.fft(s_tilde, norm="ortho", out=spectrum)
 
@@ -438,9 +608,11 @@ def run_iteration(
             feedback_dd = means
             state.row_var[m] = float(np.mean(pvars))
 
-        if combine == "mmse" and slicer != "posterior":
-            # hard-decision cancellation: row treated as perfectly cancelled
-            state.row_var[m] = 0.0
+        if combine == "mmse":
+            if slicer != "posterior":
+                # hard-decision cancellation: row treated as perfectly cancelled
+                state.row_var[m] = 0.0
+            lanes.patch(state.row_var[m])
 
         # feed the new estimates back: off-support gains are exact zeros, so
         # patching the whole window leaves the samples no tap reaches as they were

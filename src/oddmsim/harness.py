@@ -102,6 +102,12 @@ class SimConfig:
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
             raise ValueError(f"pilot mode {self.pilot_mode!r} needs snr_pilot_db")
         self.params  # a grid the channel profile does not fit fails here
+        if 2 * self.k_max + 1 > self.n_doppler:
+            # the Doppler taps -k_max..k_max must fit the N-wide Doppler axis,
+            # or the pilot read-off window cannot hold them
+            raise ValueError(
+                f"k_max={self.k_max} needs 2*k_max+1 <= n_doppler={self.n_doppler}"
+            )
         make_constellation(self.qam)
         if self.m_0 >= self.n_delay:
             raise ValueError(f"m0={self.m_0} must be below n_delay={self.n_delay}")

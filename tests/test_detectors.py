@@ -22,7 +22,14 @@ from oddmsim import (
     sample_channel,
 )
 from oddmsim import analysis, detectors, harness
-from oddmsim.channel import ChannelProfile, DDPath, DiscreteChannel, spreading_stack
+from oddmsim.channel import (
+    ChannelProfile,
+    DDPath,
+    DiscreteChannel,
+    band_columns,
+    full_matrix,
+    spreading_stack,
+)
 from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
 from oddmsim.modem import ModemParams, TimeSequence
 from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_channel
@@ -581,6 +588,126 @@ class TestRowWindows:
         _, seq = _frame(p, qam4, np.random.default_rng(31))
         with pytest.raises(ValueError, match="l_max"):
             init_estimates(seq, EstimatedChannel.from_true(ch), "zeros")
+
+
+@pytest.fixture(scope="module")
+def paper_frame():
+    """One paper-scale frame: its channel, transmitted grid and time samples."""
+    cfg = harness.paper_preset()
+    rng = np.random.default_rng(33)
+    qam4 = make_constellation(4)
+    ch = sample_channel(cfg.profile, cfg.params, rng)
+    grid, seq = _frame(cfg.params, qam4, rng)
+    return ch, grid, seq, qam4
+
+
+# (perturbed table, SNR in dB, m_0, pilot rows frozen, sweeps); m_0 = -1 is M-1
+SOFT, HARD = ("mmse", "posterior"), ("mmse", "ml")
+LANE_CASES = {
+    "true-17dB-m0": (False, 17.0, 0, False, [SOFT, SOFT]),
+    "perturbed-14dB-m5-pilot": (True, 14.0, 5, True, [HARD, SOFT]),
+    "true-30dB-mlast-pilot": (False, 30.0, -1, True, [SOFT, HARD]),
+    "perturbed-30dB-m0": (True, 30.0, 0, False, [SOFT, HARD]),
+}
+
+
+class TestLaneWindows:
+    """MMSE rows slide banded covariance windows from row to row. Whole
+    paper-scale sweeps check every processed row, the wrapping rows
+    m >= M - l_max among them: its window against the covariance built from
+    spreading_stack, and its outputs against the per-symbol MMSE oracle."""
+
+    @pytest.mark.parametrize("case", sorted(LANE_CASES))
+    def test_every_row_matches_the_stack_covariance_and_oracle(
+        self, case, paper_frame, monkeypatch
+    ):
+        perturbed, snr_db, m_0, pilot, sweeps = LANE_CASES[case]
+        ch, grid, seq, qam4 = paper_frame
+        params = ch.params
+        m_count, n = params.n_delay, params.n_doppler
+        rng = np.random.default_rng(34)
+        if perturbed:
+            est = perturb_channel(ch, 1e-3, rng)
+        else:
+            est = EstimatedChannel.from_true(ch)
+        lm = est.l_max
+        sz2 = 10.0 ** (-snr_db / 10.0)
+        received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
+        known = None
+        if pilot:
+            known = np.zeros(m_count, dtype=bool)
+            known[PilotConfig(1.0, lm).guard_rows(params)] = True
+        state = init_estimates(
+            received, est, "zeros", sz2, known_rows=known, known_grid=grid.entries
+        )
+        combine = detectors._combine_mmse
+        seen = []
+
+        def checked(lanes, g, branches):
+            m = lanes.m
+            q = np.arange(n) * m_count + m
+            stack = spreading_stack(est.gains, q)
+            v_diag = state.row_var[(m + np.arange(-lm, lm + 1)) % m_count]
+            cov = np.matmul(stack * v_diag, np.conj(stack.transpose(0, 2, 1)))
+            cov += sz2 * np.eye(lm + 1)
+            window = lanes.in_sample_order()
+            assert np.max(np.abs(window - cov)) <= 1e-12 * np.max(np.abs(cov)), m
+            v_diag[lm] = state.power  # the filter gives its own symbol full power
+            expected = [
+                mmse_combine(stack_branches(state, qi), sub, v_diag, sz2, state.power)
+                for qi, sub in zip(q, stack)
+            ]
+            s_tilde, mu, post_var = combine(lanes, g, branches)
+            for got, want in zip((s_tilde, mu, post_var), zip(*expected)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            seen.append(m)
+            return s_tilde, mu, post_var
+
+        monkeypatch.setattr(detectors, "_combine_mmse", checked)
+        m_0 %= m_count
+        order = (m_0 + np.arange(m_count)) % m_count
+        for combine_kind, slicer in sweeps:
+            seen.clear()
+            run_iteration(state, combine_kind, slicer, qam4, sz2, m_0=m_0)
+            assert seen == [m for m in order if not state.frozen_rows[m]]
+
+    @pytest.mark.parametrize("kind", ["hard_sicmmse", "soft_sicmmse"])
+    def test_noise_too_weak_to_factor_uses_the_pseudo_inverse(
+        self, kind, desk_channel, desk_perfect, qam4
+    ):
+        # at sigma_z2 = 1e-20 the windows are numerically singular: the
+        # Cholesky factorization fails and the rows take the pinv filter
+        rng = np.random.default_rng(36)
+        grid, seq = _frame(desk_channel.params, qam4, rng)
+        received = apply_channel(desk_channel, seq, 1e-10, rng)
+        res = run_detector(
+            received,
+            desk_perfect,
+            DetectorConfig(kind, n_ite=3),
+            qam4,
+            sigma_z2=1e-20,
+            true_indices=qam4.nearest_index(grid.entries),
+        )
+        assert res.bit_error_trace[-1] == 0
+
+    def test_band_columns_match_the_dense_covariance(self):
+        params = ModemParams(n_delay=12, n_doppler=4, max_delay=3)
+        prof = ChannelProfile(delays=(0, 1, 3), powers=(0.5, 0.3, 0.2), k_max=1)
+        rng = np.random.default_rng(35)
+        ch = sample_channel(prof, params, rng)
+        mn, lm = params.frame_len, ch.l_max
+        v = rng.uniform(0.0, 1.0, params.n_delay)
+        sz2 = 0.1
+        g_mat = full_matrix(ch)
+        cov = (g_mat * v[np.arange(mn) % params.n_delay]) @ g_mat.conj().T
+        cov += sz2 * np.eye(mn)
+        p = np.arange(mn)
+        ks = np.arange(lm + 1)
+        # block[i, d, k] = g[d, p_i - k]
+        block = ch.gain_table()[ks[:, None], (p[:, None, None] - ks) % mn]
+        for i in p:
+            col = band_columns(block[i : i + 1], v[(i - ks) % params.n_delay], sz2)[0]
+            np.testing.assert_allclose(col, cov[(i - ks) % mn, i], rtol=0, atol=1e-14)
 
 
 class TestDetectorTable:

@@ -167,8 +167,12 @@ class TestConfigParsing:
             ("m_0", -1, "m_0"),
             ("delta_d_ratio", 2.0, "delta_d_ratio"),
             ("delta_d_ratio", 0.0, "delta_d_ratio"),
+            ("n_doppler", 4, "k_max=3 .*n_doppler=4"),
         ],
-        ids=["max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0"],
+        ids=[
+            "max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0",
+            "n4-kmax3",
+        ],
     )
     def test_bad_value_rejected_before_any_output(self, key, value, message):
         # each used to pass the config and fail at the first frame, after the
