@@ -7,10 +7,16 @@ hard-cancellation MMSE from the second iteration onward) averages over symbol
 errors of known variance and over the dense Gaussian channel-estimation
 error; with both symbol-error variances at zero it is the ideal-cancellation
 upper bound shared by all detectors. The soft-cancellation form holds only
-under perfect channel knowledge. Soft filters are built from the batched
-sub-channel stack (channel.spreading_stack and channel.mmse_filters). The
-detectors' soft MMSE rows form the same filter from sliding covariance
-windows, and the detector tests check them against this build.
+under perfect channel knowledge. With one error variance v on every
+interferer, its SINR at symbol q is P g_q^H (sigma_z2 I + v W_q)^{-1} g_q,
+W_q being the Gram matrix of q's interferer columns. soft_spectrum
+eigen-decomposes every W_q once per channel (channel.stack_covariance over
+channel.spreading_stack), after which each v costs one elementwise sum; the
+soft state evolution evaluates only this table. sinr_soft_profile, which the
+SINR sweep uses for its split current/previous variances, builds each filter
+with channel.mmse_filters; the detectors' soft MMSE rows form the same filter
+from sliding covariance windows, and the detector tests check them against
+that build.
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import DiscreteChannel, mmse_filters, spreading_stack
+from .channel import DiscreteChannel, mmse_filters, spreading_stack, stack_covariance
 from .modem import Constellation
 
 __all__ = [
@@ -26,6 +32,8 @@ __all__ = [
     "EvolutionTrace",
     "ChannelMoments",
     "channel_moments",
+    "SoftSpectrum",
+    "soft_spectrum",
     "sinr_mrc_profile",
     "sinr_soft_profile",
     "mrc_sd_sinr_bound",
@@ -37,6 +45,7 @@ __all__ = [
 
 SINR_CAP_DB = 300.0
 _CHUNK = 2048  # symbols per batched soft-filter solve
+_SPECTRUM_CHUNK = 256  # symbols per batched eigh; keeps its temporaries small
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ class ChannelMoments:
         return self.l_max * (self.l_max + 1) // 2
 
 
-def _own_vectors(table: np.ndarray, mn: int) -> np.ndarray:
+def _own_vectors(table: np.ndarray) -> np.ndarray:
     """own[l, q] = g[l, (q+l) mod MN] for l = 0..l_max."""
     lm1 = table.shape[0]
     own = np.empty_like(table)
@@ -118,7 +127,7 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
     table = ch.gain_table()
     mn = ch.params.frame_len
     lm = ch.l_max
-    own = _own_vectors(table, mn)
+    own = _own_vectors(table)
     abs_own2 = np.abs(own) ** 2
     energy = abs_own2.sum(axis=0)
 
@@ -148,6 +157,58 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
         mask_neg=mask[-1],
         mask_pos=mask[1],
     )
+
+
+@dataclass(frozen=True)
+class SoftSpectrum:
+    """Per-symbol spectra of the unit-variance interferer Gram matrices.
+
+    With G'_q the sub-channel of symbol q without its own column and g_q the
+    own spreading vector, W_q = G'_q G'_q^H = U_q diag(lam_q) U_q^H and
+    c_q = U_q^H g_q; the fields hold, for every q (rows) and eigenvalue
+    (columns):
+
+    lam = the eigenvalues lam_q, clipped at zero
+    c2  = |c_q|^2, the own vector's power along each eigenvector
+    """
+
+    lam: np.ndarray
+    c2: np.ndarray
+
+    def sinr(self, off_var: float, sigma_z2: float, power: float = 1.0) -> np.ndarray:
+        """Soft-cancellation SINR for every q with off_var on every interferer.
+
+        The unbiased MMSE SINR P g_q^H (sigma_z2 I + off_var W_q)^{-1} g_q,
+        summed over eigenvalues: every term is positive, so nothing cancels.
+        """
+        return power * np.sum(self.c2 / (sigma_z2 + off_var * self.lam), axis=1)
+
+
+def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
+    """Eigen-decompose every symbol's interferer Gram matrix once per channel.
+
+    With uniform interferer variance the soft SINR depends on the variance
+    only through SoftSpectrum.sinr, so a state evolution reuses one table
+    across its iterations.
+    """
+    table = ch.gain_table()
+    lm = ch.l_max
+    mn = ch.params.frame_len
+    v = np.ones(2 * lm + 1)
+    v[lm] = 0.0
+    lam = np.empty((mn, lm + 1))
+    c2 = np.empty((mn, lm + 1))
+    for start in range(0, mn, _SPECTRUM_CHUNK):
+        stop = min(start + _SPECTRUM_CHUNK, mn)
+        stack = spreading_stack(table, np.arange(start, stop))
+        # a copy, not a view, so the stack is freed before the eigh
+        g_own = stack[:, :, lm].copy()
+        gram = stack_covariance(stack, v, 0.0)
+        del stack
+        lam_q, u = np.linalg.eigh(gram)
+        lam[start:stop] = np.maximum(lam_q, 0.0)
+        c2[start:stop] = np.abs(np.einsum("nji,nj->ni", np.conj(u), g_own)) ** 2
+    return SoftSpectrum(lam=lam, c2=c2)
 
 
 def sinr_mrc_profile(
@@ -197,8 +258,13 @@ def sinr_soft_profile(
 
     Each filter is the MMSE filter with off_var (default errs.sigma_e2_prev)
     on every interferer column and the full symbol power on the own column,
-    the mean-field choice used by the state evolution. Valid only under
-    perfect channel knowledge; a nonzero sigma_dg2 is rejected.
+    the mean-field filter of the state evolution. The residual counts
+    sigma_e2_cur on the interferers already re-estimated in this sweep and
+    sigma_e2_prev on the rest; this split is what the SINR sweep needs and
+    what soft_spectrum cannot express. With all three variances equal,
+    soft_spectrum(ch).sinr gives the same values without a solve per symbol.
+    Valid only under perfect channel knowledge; a nonzero sigma_dg2 is
+    rejected.
     """
     if errs.sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation SINR is only defined for exact CSI")
@@ -264,25 +330,33 @@ def state_evolution(
     """Fixed-point recursion variance -> SINR -> SER -> variance.
 
     kind 'mrc_hard' uses the MRC closed form (valid for MRC and for
-    hard-cancellation MMSE); kind 'soft' rebuilds uniform-variance soft
-    filters each iteration and requires sigma_dg2 = 0. Both error-variance
-    slots are fed the previous iteration's mean-square error.
+    hard-cancellation MMSE); kind 'soft' evaluates the uniform-variance soft
+    filters from one soft_spectrum table and requires sigma_dg2 = 0 and
+    sigma_z2 > 0. Both error-variance slots are fed the previous iteration's
+    mean-square error.
     """
     if kind not in ("mrc_hard", "soft"):
         raise ValueError(f"unknown state-evolution kind {kind!r}")
     if kind == "soft" and sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation evolution requires exact CSI")
+    if kind == "soft" and not sigma_z2 > 0.0:
+        raise ValueError(
+            f"soft-cancellation evolution requires sigma_z2 > 0, got {sigma_z2!r}"
+        )
     power = constellation.power
-    mom = channel_moments(ch) if kind == "mrc_hard" else None
+    if kind == "mrc_hard":
+        mom = channel_moments(ch)
+    else:
+        spectrum = soft_spectrum(ch)
     var = power
     sinr_means, sers, mses, bers = [], [], [], []
     bits = constellation.bits_per_symbol
     for _ in range(n_iter):
-        errs = ErrorState(var, var, sigma_dg2, power, sigma_z2)
         if kind == "mrc_hard":
+            errs = ErrorState(var, var, sigma_dg2, power, sigma_z2)
             profile = sinr_mrc_profile(ch, errs, mom)
         else:
-            profile = sinr_soft_profile(ch, errs, off_var=var)
+            profile = spectrum.sinr(var, sigma_z2, power)
         with np.errstate(divide="ignore"):
             sinr_mean = float(np.mean(profile))
         ser = ser_union_bound(sinr_mean, constellation)

@@ -5,9 +5,10 @@ complex gain). The production receive path applies the channel sample by
 sample; a dense matrix builder and a delay-Doppler-domain reference output are
 kept as independent test oracles. The sub-channel around one symbol has a
 per-symbol oracle (subchannel) and a batched form (spreading_stack, with its
-MMSE solve mmse_filters) that the analysis builds its filters from and the
-detector tests check against. The detectors' MMSE rows slide windows of the
-banded covariance instead, appending one column from band_columns per row.
+covariance stack_covariance and MMSE solve mmse_filters) that the analysis
+builds its filters and spectra from and the detector tests check against.
+The detectors' MMSE rows slide windows of the banded covariance instead,
+appending one column from band_columns per row.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "full_matrix",
     "subchannel",
     "spreading_stack",
+    "stack_covariance",
     "mmse_filters",
     "band_columns",
     "dd_reference_output",
@@ -275,6 +277,24 @@ def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     return stack
 
 
+def stack_covariance(stack: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:
+    """Covariances G diag(v) G^H + sigma_z2 I for every G = stack[i].
+
+    One batched matmul, through the identity G V G^H = conj(conj(G V) G^T)
+    for real v: conj(stack * v) times stack.transpose(0, 2, 1), conjugated in
+    place. For a C-contiguous stack (as spreading_stack builds it) the
+    transposed view is a BLAS operand as it stands, so no conjugated or
+    contiguous copy of the stack is made.
+    """
+    sv = stack * v
+    np.conj(sv, out=sv)
+    a = np.matmul(sv, stack.transpose(0, 2, 1))
+    np.conj(a, out=a)
+    diag = np.arange(stack.shape[1])
+    a[:, diag, diag] += sigma_z2
+    return a
+
+
 def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
     """Batched MMSE filters over a spreading stack.
 
@@ -283,19 +303,8 @@ def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
     w = y^H. When sigma_z2 is zero the covariance can be rank-deficient once
     the interferer variances reach zero, and the limiting filter uses the
     pseudo-inverse.
-
-    The covariances come from one batched matmul, through the identity
-    G V G^H = conj(conj(G V) G^T) for real v: conj(stack * v) times
-    stack.transpose(0, 2, 1), conjugated in place. For a C-contiguous stack
-    (as spreading_stack builds it) the transposed view is a BLAS operand as
-    it stands, so no conjugated or contiguous copy of the stack is made.
     """
-    sv = stack * v
-    np.conj(sv, out=sv)
-    a = np.matmul(sv, stack.transpose(0, 2, 1))
-    np.conj(a, out=a)
-    diag = np.arange(stack.shape[1])
-    a[:, diag, diag] += sigma_z2
+    a = stack_covariance(stack, v, sigma_z2)
     g_own = stack[:, :, stack.shape[2] // 2]
     if sigma_z2 > 0:
         y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]

@@ -12,6 +12,7 @@ from oddmsim.analysis import (
     sinr_from_powers,
     sinr_mrc_profile,
     sinr_soft_profile,
+    soft_spectrum,
     state_evolution,
 )
 from oddmsim.channel import mmse_filters, spreading_stack
@@ -223,6 +224,45 @@ class TestSoftSinr:
         assert abs(emp_db - th_db) <= 0.3
 
 
+@pytest.fixture(scope="module")
+def paper_channel():
+    from oddmsim import harness, sample_channel
+
+    cfg = harness.paper_preset()
+    return sample_channel(cfg.profile, cfg.params, np.random.default_rng(70))
+
+
+class TestSoftSpectrum:
+    """The eigen table gives the uniform-variance soft SINR without a solve."""
+
+    SZ2 = 10 ** (-1.4)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_matches_uniform_variance_filters(self, scale, desk_channel, request):
+        ch = desk_channel if scale == "desk" else request.getfixturevalue("paper_channel")
+        spectrum = soft_spectrum(ch)
+        for v in (1.0, 0.3, 1e-3, 0.0):
+            errs = ErrorState(v, v, 0.0, 1.0, self.SZ2)
+            np.testing.assert_allclose(
+                spectrum.sinr(v, self.SZ2),
+                sinr_soft_profile(ch, errs, off_var=v),
+                rtol=1e-12,
+                err_msg=f"off_var={v}",
+            )
+
+    def test_noise_only_limit(self, desk_channel):
+        energy = channel_moments(desk_channel).energy
+        np.testing.assert_allclose(
+            soft_spectrum(desk_channel).sinr(0.0, self.SZ2), energy / self.SZ2, rtol=1e-12
+        )
+
+    def test_strictly_decreasing_in_variance(self, desk_channel):
+        spectrum = soft_spectrum(desk_channel)
+        vals = [spectrum.sinr(v, self.SZ2) for v in (0.0, 1e-3, 0.05, 0.3, 1.0)]
+        for lo, hi in zip(vals[1:], vals[:-1]):
+            assert np.all(lo < hi)
+
+
 class TestSerAndEvolution:
     def test_union_bound_limits(self, qam4):
         assert ser_union_bound(float("inf"), qam4) == 0.0
@@ -253,6 +293,15 @@ class TestSerAndEvolution:
     def test_soft_evolution_rejects_channel_error(self, desk_channel, qam4):
         with pytest.raises(ValueError):
             state_evolution(desk_channel, 1e-3, qam4, "soft", 0.01)
+
+    @pytest.mark.parametrize("sz2", [0.0, -0.01])
+    def test_soft_evolution_rejects_zero_noise(self, sz2, desk_channel, qam4, monkeypatch):
+        def never(ch):
+            raise AssertionError("the spectrum was built")
+
+        monkeypatch.setattr(an, "soft_spectrum", never)
+        with pytest.raises(ValueError, match=f"sigma_z2 > 0, got {sz2!r}"):
+            state_evolution(desk_channel, 0.0, qam4, "soft", sz2)
 
     def test_unknown_kind(self, desk_channel, qam4):
         with pytest.raises(ValueError):
