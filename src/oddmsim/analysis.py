@@ -13,10 +13,10 @@ W_q being the Gram matrix of q's interferer columns. soft_spectrum
 eigen-decomposes every W_q once per channel (channel.stack_covariance over
 channel.spreading_stack), after which each v costs one elementwise sum; the
 soft state evolution evaluates only this table. sinr_soft_profile, which the
-SINR sweep uses for its split current/previous variances, builds each filter
-with channel.mmse_filters; the detectors' soft MMSE rows form the same filter
-from sliding covariance windows, and the detector tests check them against
-that build.
+SINR sweep uses for its split current/previous variances, solves each filter
+against the same stack_covariance build; the detectors' soft MMSE rows form
+the same filter from sliding covariance windows. The dithered-MRC bound is the
+MRC form with the dither as the only symbol error.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import DiscreteChannel, mmse_filters, spreading_stack, stack_covariance
+from .channel import DiscreteChannel, spreading_stack, stack_covariance
 from .modem import Constellation
 
 __all__ = [
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 SINR_CAP_DB = 300.0
-_CHUNK = 2048  # symbols per batched soft-filter solve
-_SPECTRUM_CHUNK = 256  # symbols per batched eigh; keeps its temporaries small
+_CHUNK = 256  # symbols per batched solve or eigh; keeps its temporaries small
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
 
     cross = {s: np.zeros(mn) for s in (-1, 1)}
     branch = {s: np.zeros(mn) for s in (-1, 1)}
-    mask = {s: np.zeros(mn) for s in (-1, 1)}
     for dl in range(-lm, lm + 1):
         if dl == 0:
             continue
@@ -145,8 +143,9 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
             vec = np.roll(table[l - dl], -l)  # g_{q,dl}[l] over q
             c_acc += np.conj(own[l]) * vec
             branch[side] += np.abs(vec) ** 2
-            mask[side] += abs_own2[l]
         cross[side] += np.abs(c_acc) ** 2
+    # tap l is paired with the l_max - l offsets dl < 0 and the l offsets dl > 0
+    taps = np.arange(lm + 1)
     return ChannelMoments(
         l_max=lm,
         energy=energy,
@@ -154,8 +153,8 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
         cross_pos=cross[1],
         branch_neg=branch[-1],
         branch_pos=branch[1],
-        mask_neg=mask[-1],
-        mask_pos=mask[1],
+        mask_neg=(lm - taps) @ abs_own2,
+        mask_pos=taps @ abs_own2,
     )
 
 
@@ -198,8 +197,8 @@ def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
     v[lm] = 0.0
     lam = np.empty((mn, lm + 1))
     c2 = np.empty((mn, lm + 1))
-    for start in range(0, mn, _SPECTRUM_CHUNK):
-        stop = min(start + _SPECTRUM_CHUNK, mn)
+    for start in range(0, mn, _CHUNK):
+        stop = min(start + _CHUNK, mn)
         stack = spreading_stack(table, np.arange(start, stop))
         # a copy, not a view, so the stack is freed before the eigh
         g_own = stack[:, :, lm].copy()
@@ -251,35 +250,36 @@ def sinr_mrc_profile(
     return signal / (t1 + t2 + t3 + t4)
 
 
-def sinr_soft_profile(
-    ch: DiscreteChannel, errs: ErrorState, off_var: float | None = None
-) -> np.ndarray:
+def sinr_soft_profile(ch: DiscreteChannel, errs: ErrorState) -> np.ndarray:
     """Linear soft-cancellation SINR for every q with uniform-variance filters.
 
-    Each filter is the MMSE filter with off_var (default errs.sigma_e2_prev)
-    on every interferer column and the full symbol power on the own column,
-    the mean-field filter of the state evolution. The residual counts
+    Each filter is the MMSE filter with errs.sigma_e2_prev on every
+    interferer column and the full symbol power on the own column, the
+    mean-field filter of the state evolution. The residual counts
     sigma_e2_cur on the interferers already re-estimated in this sweep and
     sigma_e2_prev on the rest; this split is what the SINR sweep needs and
     what soft_spectrum cannot express. With all three variances equal,
     soft_spectrum(ch).sinr gives the same values without a solve per symbol.
-    Valid only under perfect channel knowledge; a nonzero sigma_dg2 is
-    rejected.
+    Valid only under perfect channel knowledge and with noise: a nonzero
+    sigma_dg2 or a zero sigma_z2 is rejected.
     """
     if errs.sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation SINR is only defined for exact CSI")
-    if off_var is None:
-        off_var = errs.sigma_e2_prev
+    if not errs.sigma_z2 > 0.0:
+        raise ValueError(
+            f"soft-cancellation SINR requires sigma_z2 > 0, got {errs.sigma_z2!r}"
+        )
     table = ch.gain_table()
     lm = ch.l_max
     mn = ch.params.frame_len
-    v = np.full(2 * lm + 1, off_var)
+    v = np.full(2 * lm + 1, errs.sigma_e2_prev)
     v[lm] = errs.power
     out = np.empty(mn)
     for start in range(0, mn, _CHUNK):
         sel = np.arange(start, min(start + _CHUNK, mn))
         stack = spreading_stack(table, sel)
-        w = np.conj(mmse_filters(stack, v, errs.sigma_z2)[0])
+        cov = stack_covariance(stack, v, errs.sigma_z2)
+        w = np.conj(np.linalg.solve(cov, stack[:, :, lm, None])[:, :, 0])
         proj2 = np.abs(np.matmul(w[:, None, :], stack)[:, 0, :]) ** 2
         signal = errs.power * proj2[:, lm]
         ripn = (
@@ -296,17 +296,12 @@ def mrc_sd_sinr_bound(
 ) -> np.ndarray:
     """Asymptotic SINR bound of the dithered-slicer MRC detector for every q.
 
-    Treats the dither (per-axis variance delta_d^2/3) as the only symbol
-    error and ignores channel estimation error.
+    The MRC form with the dither (per-axis variance delta_d^2/3) as the only
+    symbol error, on the current and previous interferers alike, and no
+    channel estimation error.
     """
-    mom = channel_moments(ch)
     sigma_d2 = delta_d**2 / 3.0
-    eps2 = sigma_d2 * (mom.cross_neg + mom.cross_pos)
-    a = mom.energy
-    # float_power squares each entry with the C library's pow, so entry q
-    # equals the formula evaluated on the scalars of q alone; numpy's vector
-    # square can differ from that in the last bit
-    return power * np.float_power(a, 2) / (eps2 + sigma_z2 * a)
+    return sinr_mrc_profile(ch, ErrorState(sigma_d2, sigma_d2, 0.0, power, sigma_z2))
 
 
 def ser_union_bound(sinr_mean: float, constellation: Constellation) -> float:

@@ -5,8 +5,8 @@ complex gain). The production receive path applies the channel sample by
 sample; a dense matrix builder and a delay-Doppler-domain reference output are
 kept as independent test oracles. The sub-channel around one symbol has a
 per-symbol oracle (subchannel) and a batched form (spreading_stack, with its
-covariance stack_covariance and MMSE solve mmse_filters) that the analysis
-builds its filters and spectra from and the detector tests check against.
+covariance stack_covariance) that the analysis builds its filters and spectra
+from and the detector tests check against.
 The detectors' MMSE rows slide windows of the banded covariance instead,
 appending one column from band_columns per row.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "subchannel",
     "spreading_stack",
     "stack_covariance",
-    "mmse_filters",
     "band_columns",
     "dd_reference_output",
     "serialize_paths",
@@ -293,25 +292,6 @@ def stack_covariance(stack: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.nd
     diag = np.arange(stack.shape[1])
     a[:, diag, diag] += sigma_z2
     return a
-
-
-def mmse_filters(stack: np.ndarray, v: np.ndarray, sigma_z2: float):
-    """Batched MMSE filters over a spreading stack.
-
-    For every G = stack[i] with own-symbol (middle) column g, returns
-    y = (G diag(v) G^H + sigma_z2 I)^{-1} g and mu = g^H y; the filter is
-    w = y^H. When sigma_z2 is zero the covariance can be rank-deficient once
-    the interferer variances reach zero, and the limiting filter uses the
-    pseudo-inverse.
-    """
-    a = stack_covariance(stack, v, sigma_z2)
-    g_own = stack[:, :, stack.shape[2] // 2]
-    if sigma_z2 > 0:
-        y = np.linalg.solve(a, g_own[:, :, None])[:, :, 0]
-    else:
-        y = np.einsum("njk,nk->nj", np.linalg.pinv(a, hermitian=True), g_own)
-    mu = np.einsum("nj,nj->n", np.conj(y), g_own).real
-    return y, mu
 
 
 def band_columns(block: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:

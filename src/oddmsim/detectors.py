@@ -18,8 +18,9 @@ window per lane and slides it from row to row (_LaneWindows): one fresh band
 column in (channel.band_columns), a rank-1 patch when the slicer changes a
 row's variance, and one batched Cholesky factorization of the bordered
 windows per row. The analysis keeps building its filters from the
-sub-channel stack (channel.spreading_stack and channel.mmse_filters), and
-the tests check the windows against that build.
+sub-channel stack (channel.spreading_stack and channel.stack_covariance), and
+the tests check the windows against that stack and the per-symbol MMSE
+combiner.
 
 Row m reads and patches one (l_max+1, N) window: the gains
 g_hat[l, nM+m+l] and the residual samples e[nM+m+l] for every tap l and
@@ -226,19 +227,17 @@ def _freq_mmse_equalize(r, est, sigma_z2, power):
     m_count, n = params.n_delay, params.n_doppler
     blocks = r.reshape(n, m_count)
     per_block = est.gains.reshape(est.l_max + 1, n, m_count)
-    gains_blocks = per_block.mean(axis=2)
-    out = np.empty_like(blocks)
-    for nd in range(n):
-        taps = np.zeros(m_count, dtype=np.complex128)
-        taps[: est.l_max + 1] = gains_blocks[:, nd]
-        freq_resp = np.fft.fft(taps)
-        spectrum = np.fft.fft(blocks[nd])
-        denom = np.abs(freq_resp) ** 2 + sigma_z2 / power
-        floor = 1e-9 * float(np.mean(np.abs(freq_resp) ** 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eq = np.where(denom > floor, np.conj(freq_resp) * spectrum / denom, 0.0)
-        out[nd] = np.fft.ifft(eq)
-    return out.reshape(-1)
+    freq_resp = np.fft.fft(per_block.mean(axis=2).T, n=m_count, axis=1)
+    resp2 = np.abs(freq_resp) ** 2
+    denom = resp2 + sigma_z2 / power
+    floor = 1e-9 * np.mean(resp2, axis=1, keepdims=True)
+    # in place: the whole frame's (N, M) spectra are alive at once
+    eq = np.conj(freq_resp, out=freq_resp)
+    eq *= np.fft.fft(blocks, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eq /= denom
+    eq[~(denom > floor)] = 0.0
+    return np.fft.ifft(eq, axis=1).reshape(-1)
 
 
 def init_estimates(

@@ -425,7 +425,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
             sigma_z2,
         )
         if kind == "soft_sicmmse":
-            theory = analysis.sinr_soft_profile(ch, errs, off_var=errs.sigma_e2_prev)
+            theory = analysis.sinr_soft_profile(ch, errs)
         else:
             theory = analysis.sinr_mrc_profile(ch, errs, mom)
         theory_db = 10.0 * np.log10(float(np.mean(theory)))

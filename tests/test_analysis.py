@@ -15,7 +15,7 @@ from oddmsim.analysis import (
     soft_spectrum,
     state_evolution,
 )
-from oddmsim.channel import mmse_filters, spreading_stack
+from oddmsim.channel import spreading_stack, stack_covariance, subchannel
 
 
 class TestAppendixMoments:
@@ -55,6 +55,52 @@ class TestAppendixMoments:
         emp = float(np.mean(np.abs(dg @ np.conj(g)) ** 2))
         expected = sigma2 * float(np.vdot(g, g).real)
         assert abs(emp - expected) < 0.01 * expected
+
+
+def _moments_oracle(ch, q):
+    """ChannelMoments' fields at symbol q, from the definitions on its sub-channel."""
+    sub = subchannel(ch, q).matrix
+    lm = ch.l_max
+    own2 = np.abs(sub[:, lm]) ** 2
+    taps = np.arange(lm + 1)
+    out = dict.fromkeys(
+        ("cross_neg", "cross_pos", "branch_neg", "branch_pos", "mask_neg", "mask_pos"), 0.0
+    )
+    out["energy"] = own2.sum()
+    for dl in range(-lm, lm + 1):
+        if dl == 0:
+            continue
+        side = "neg" if dl < 0 else "pos"
+        g_dl = sub[:, dl + lm]
+        out[f"cross_{side}"] += abs(np.vdot(sub[:, lm], g_dl)) ** 2
+        out[f"branch_{side}"] += np.vdot(g_dl, g_dl).real
+        out[f"mask_{side}"] += own2[(taps - dl >= 0) & (taps - dl <= lm)].sum()
+    return out
+
+
+class TestChannelMoments:
+    """Every field against its per-symbol definition."""
+
+    def _check(self, ch, q_idx):
+        mom = channel_moments(ch)
+        for q in q_idx:
+            for name, value in _moments_oracle(ch, int(q)).items():
+                np.testing.assert_allclose(
+                    getattr(mom, name)[q], value, rtol=1e-12, err_msg=f"{name} at q={q}"
+                )
+
+    def test_desk_grid(self, desk_channel):
+        mn = desk_channel.params.frame_len
+        q_idx = np.random.default_rng(40).choice(mn, 100, replace=False)
+        self._check(desk_channel, np.concatenate([[0, mn - 1], q_idx]))
+
+    def test_odd_grid(self):
+        from oddmsim import ChannelProfile, ModemParams, sample_channel
+
+        p = ModemParams(n_delay=13, n_doppler=9, max_delay=4)
+        prof = ChannelProfile(delays=(0, 1, 4), powers=(0.5, 0.3, 0.2), k_max=3)
+        ch = sample_channel(prof, p, np.random.default_rng(41))
+        self._check(ch, range(p.frame_len))
 
 
 class TestMrcSinr:
@@ -165,7 +211,7 @@ class TestSoftSinr:
         mom = channel_moments(desk_channel)
         errs = ErrorState(0.0, 0.0, 0.0, 1.0, sz2)
         np.testing.assert_allclose(
-            sinr_soft_profile(desk_channel, errs, off_var=0.0),
+            sinr_soft_profile(desk_channel, errs),
             mom.energy / sz2,
             rtol=1e-12,
         )
@@ -175,7 +221,7 @@ class TestSoftSinr:
         prev = None
         for cur in (0.0, 0.1, 0.3, 0.6):
             errs = ErrorState(cur, 0.2, 0.0, 1.0, sz2)
-            val = sinr_soft_profile(desk_channel, errs, off_var=0.2)
+            val = sinr_soft_profile(desk_channel, errs)
             if prev is not None:
                 assert np.all(val < prev)
             prev = val
@@ -183,6 +229,52 @@ class TestSoftSinr:
     def test_rejects_channel_error(self, desk_channel):
         with pytest.raises(ValueError):
             sinr_soft_profile(desk_channel, ErrorState(0.1, 0.1, 1e-3, 1.0, 0.05))
+
+    def test_rejects_zero_noise_before_building_a_stack(self, desk_channel, monkeypatch):
+        def never(gains, q_idx):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(an, "spreading_stack", never)
+        with pytest.raises(ValueError, match="sigma_z2 > 0, got 0.0"):
+            sinr_soft_profile(desk_channel, ErrorState(0.1, 0.1, 0.0, 1.0, 0.0))
+
+    @staticmethod
+    def _per_symbol(ch, errs, q):
+        # the filter solved on q's own sub-channel; the residual splits the
+        # current (dl < 0) and previous (dl > 0) interferers
+        sub = subchannel(ch, q).matrix
+        lm = ch.l_max
+        v = np.full(2 * lm + 1, errs.sigma_e2_prev)
+        v[lm] = errs.power
+        cov = (sub * v) @ sub.conj().T + errs.sigma_z2 * np.eye(lm + 1)
+        w = np.conj(np.linalg.solve(cov, sub[:, lm]))
+        proj2 = np.abs(w @ sub) ** 2
+        ripn = (
+            errs.sigma_z2 * np.vdot(w, w).real
+            + errs.sigma_e2_cur * proj2[:lm].sum()
+            + errs.sigma_e2_prev * proj2[lm + 1 :].sum()
+        )
+        return errs.power * proj2[lm] / ripn
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_matches_per_symbol_filter(self, scale, desk_channel, request):
+        ch = desk_channel if scale == "desk" else request.getfixturevalue("paper_channel")
+        mn = ch.params.frame_len
+        if scale == "desk":
+            q_idx = range(mn)
+        else:  # the chunk edges
+            q_idx = (0, an._CHUNK - 1, an._CHUNK, an._CHUNK + 1, 2047, 2048, mn - 1)
+        errs = ErrorState(0.3, 0.05, 0.0, 1.0, 10 ** (-1.4))
+        profile = sinr_soft_profile(ch, errs)
+        for q in q_idx:
+            assert profile[q] == pytest.approx(self._per_symbol(ch, errs, q), rel=1e-12), q
+
+    def test_chunk_size_does_not_change_results(self, desk_channel, monkeypatch):
+        errs = ErrorState(0.3, 0.05, 0.0, 1.0, 10 ** (-1.4))
+        ref = sinr_soft_profile(desk_channel, errs)
+        for chunk in (1, 97, 4096):
+            monkeypatch.setattr(an, "_CHUNK", chunk)
+            assert np.array_equal(sinr_soft_profile(desk_channel, errs), ref), chunk
 
     def test_matches_monte_carlo_single_pass(self, desk_channel, qam4):
         params = desk_channel.params
@@ -193,7 +285,9 @@ class TestSoftSinr:
         v_err, sz2 = 0.05, 10 ** (-1.6)
         v = np.full(2 * lm + 1, v_err)
         v[lm] = 1.0
-        y, mu = mmse_filters(spreading_stack(table, np.arange(mn)), v, sz2)
+        stack = spreading_stack(table, np.arange(mn))
+        y = np.linalg.solve(stack_covariance(stack, v, sz2), stack[:, :, lm, None])[:, :, 0]
+        mu = np.einsum("nj,nj->n", np.conj(y), stack[:, :, lm]).real
         w = np.conj(y)
         own = np.array([np.roll(table[l], -l) for l in range(lm + 1)])
         trials = 300
@@ -220,7 +314,7 @@ class TestSoftSinr:
             eta_p += np.abs(out - mu * s) ** 2
         emp_db = 10 * np.log10(np.mean(psi_p / eta_p))
         errs = ErrorState(v_err, v_err, 0.0, 1.0, sz2)
-        th_db = 10 * np.log10(np.mean(sinr_soft_profile(desk_channel, errs, off_var=v_err)))
+        th_db = 10 * np.log10(np.mean(sinr_soft_profile(desk_channel, errs)))
         assert abs(emp_db - th_db) <= 0.3
 
 
@@ -245,9 +339,9 @@ class TestSoftSpectrum:
             errs = ErrorState(v, v, 0.0, 1.0, self.SZ2)
             np.testing.assert_allclose(
                 spectrum.sinr(v, self.SZ2),
-                sinr_soft_profile(ch, errs, off_var=v),
+                sinr_soft_profile(ch, errs),
                 rtol=1e-12,
-                err_msg=f"off_var={v}",
+                err_msg=f"v={v}",
             )
 
     def test_noise_only_limit(self, desk_channel):

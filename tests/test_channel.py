@@ -1,5 +1,5 @@
 """Channel sampling, tap gains, the dense/DD-domain oracles, and the batched
-sub-channel primitive (spreading stack and MMSE filters)."""
+sub-channel primitive (the spreading stack)."""
 
 import numpy as np
 import pytest
@@ -24,12 +24,10 @@ from oddmsim import (
 from oddmsim.channel import (
     DiscreteChannel,
     deserialize_paths,
-    mmse_filters,
     serialize_paths,
     spreading_stack,
 )
 from conftest import PAPER_DELAY_RES
-from oracles import mmse_combine
 
 
 def _small_params():
@@ -279,49 +277,6 @@ class TestSpreadingStack:
         prof = ChannelProfile(delays=(0, 2, 3), powers=(0.5, 0.3, 0.2), k_max=2)
         ch = sample_channel(prof, p, np.random.default_rng(31))
         _assert_stack_matches_oracle(ch, seed=32)
-
-
-class TestMmseFilters:
-    @pytest.mark.parametrize("sz2", [0.05, 0.0])
-    def test_batch_size_does_not_change_results(self, sz2):
-        # paper-scale geometry, the size of one analysis chunk
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
-        p = ModemParams(n_delay=512, n_doppler=32, max_delay=prof.max_delay)
-        ch = sample_channel(prof, p, np.random.default_rng(34))
-        table = ch.gain_table()
-        lm = ch.l_max
-        q_idx = np.arange(p.frame_len - 1024, p.frame_len + 1024) % p.frame_len
-        stack = spreading_stack(table, q_idx)
-        assert stack.flags.c_contiguous
-        v = np.random.default_rng(35).uniform(0.0, 1.0, 2 * lm + 1)
-        v[lm] = 1.0
-        y, mu = mmse_filters(stack, v, sz2)
-        for sl in (slice(1023, 1024), slice(100, 132), slice(1000, 1513)):
-            part = spreading_stack(table, q_idx[sl])
-            assert part.flags.c_contiguous
-            y_part, mu_part = mmse_filters(part, v, sz2)
-            assert np.array_equal(y_part, y[sl])
-            assert np.array_equal(mu_part, mu[sl])
-
-    def test_matches_per_symbol_mmse_combine(self, desk_channel):
-        rng = np.random.default_rng(33)
-        mn = desk_channel.params.frame_len
-        lm = desk_channel.l_max
-        q_idx = np.concatenate([rng.integers(0, mn, 30), [mn - 1]])
-        stack = spreading_stack(desk_channel.gain_table(), q_idx)
-        for _ in range(4):
-            v = rng.uniform(0.0, 1.0, 2 * lm + 1)
-            v[lm] = rng.uniform(0.5, 2.0)
-            sz2 = rng.uniform(0.01, 1.0)
-            r_t = rng.standard_normal((q_idx.size, lm + 1)) + 1j * rng.standard_normal(
-                (q_idx.size, lm + 1)
-            )
-            y, mu = mmse_filters(stack, v, sz2)
-            for i, q in enumerate(q_idx):
-                sub = subchannel(desk_channel, int(q)).matrix
-                s_ref, mu_ref, _ = mmse_combine(r_t[i], sub, v, sz2)
-                assert abs(mu[i] - mu_ref) <= 1e-12
-                assert abs(np.vdot(y[i], r_t[i]) / mu[i] - s_ref) <= 1e-12
 
 
 class TestDDReference:

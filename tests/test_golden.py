@@ -52,6 +52,10 @@ GOLDEN = {
         "evolve",
         dict(snr_db=(10.0,), detectors=("mrc", "soft_sicmmse"), evolve_chans=2),
     ),
+    "est_stats.csv": (
+        "est-stats",
+        dict(snr_db=(10.0, 14.0), snr_pilot_db=40.0, est_trials=50),
+    ),
 }
 
 
