@@ -18,7 +18,6 @@ from .channel import (
     eva_profile,
     full_matrix,
     sample_channel,
-    subchannel,
 )
 from .pilot import (
     EstimatedChannel,

@@ -45,6 +45,7 @@ __all__ = [
 
 SINR_CAP_DB = 300.0
 _CHUNK = 256  # symbols per batched solve or eigh; keeps its temporaries small
+_EVOLUTION_STEPS = 20  # state_evolution's fixed horizon
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,6 @@ class EvolutionTrace:
     ser: np.ndarray
     mse: np.ndarray
     ber: np.ndarray
-
-    @property
-    def converged_ber(self) -> float:
-        return float(self.ber[-1])
 
 
 @dataclass
@@ -320,7 +317,6 @@ def state_evolution(
     constellation: Constellation,
     kind: str,
     sigma_z2: float,
-    n_iter: int = 20,
 ) -> EvolutionTrace:
     """Fixed-point recursion variance -> SINR -> SER -> variance.
 
@@ -346,7 +342,7 @@ def state_evolution(
     var = power
     sinr_means, sers, mses, bers = [], [], [], []
     bits = constellation.bits_per_symbol
-    for _ in range(n_iter):
+    for _ in range(_EVOLUTION_STEPS):
         if kind == "mrc_hard":
             errs = ErrorState(var, var, sigma_dg2, power, sigma_z2)
             profile = sinr_mrc_profile(ch, errs, mom)

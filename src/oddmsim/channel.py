@@ -3,10 +3,10 @@
 A channel realization is a set of on-grid paths (delay index, Doppler index,
 complex gain). The production receive path applies the channel sample by
 sample; a dense matrix builder and a delay-Doppler-domain reference output are
-kept as independent test oracles. The sub-channel around one symbol has a
-per-symbol oracle (subchannel) and a batched form (spreading_stack, with its
-covariance stack_covariance) that the analysis builds its filters and spectra
-from and the detector tests check against.
+kept as independent test oracles. The sub-channel around one symbol comes in
+a batched form (spreading_stack, with its covariance stack_covariance) that
+the analysis builds its filters and spectra from and the detector tests check
+against; its per-symbol form is tests/oracles.subchannel.
 The detectors' MMSE rows slide windows of the banded covariance instead,
 appending one column from band_columns per row.
 """
@@ -22,12 +22,10 @@ __all__ = [
     "DDPath",
     "ChannelProfile",
     "DiscreteChannel",
-    "SubChannel",
     "eva_profile",
     "sample_channel",
     "apply_channel",
     "full_matrix",
-    "subchannel",
     "spreading_stack",
     "stack_covariance",
     "band_columns",
@@ -39,6 +37,13 @@ __all__ = [
 # 3GPP Extended Vehicular A power delay profile
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
+
+# seconds per delay tap: the paper's resolution T/512 at T = 66.67 us, on
+# which every configuration places the EVA taps, whatever n_delay is
+_DELAY_RES = 66.67e-6 / 512
+
+# the dense oracle's largest frame, in samples
+_DENSE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,13 @@ class ChannelProfile:
         return max(self.delays)
 
 
-def eva_profile(delay_res: float, k_max: int, max_tap: int | None = None) -> ChannelProfile:
-    """EVA profile sampled at the given delay resolution (seconds per tap).
+def eva_profile(k_max: int, max_tap: int | None = None) -> ChannelProfile:
+    """EVA profile sampled at the paper's delay resolution T/512.
 
     max_tap, when given, drops taps whose integer delay exceeds it (the
     desk-scale preset truncates the profile this way).
     """
-    delays = [round(d * 1e-9 / delay_res) for d in EVA_DELAYS_NS]
+    delays = [round(d * 1e-9 / _DELAY_RES) for d in EVA_DELAYS_NS]
     powers = [10.0 ** (p / 10.0) for p in EVA_POWERS_DB]
     if max_tap is not None:
         kept = [(d, p) for d, p in zip(delays, powers) if d <= max_tap]
@@ -110,15 +115,6 @@ class DiscreteChannel:
         self.support = tuple(sorted({p.delay for p in paths}))
         self._table = None
 
-    def time_gain(self, l: int, q: int) -> complex:
-        """Tap gain g[l, q]; zero when no path sits at delay l."""
-        mn = self.params.frame_len
-        acc = 0.0 + 0.0j
-        for p in self.paths:
-            if p.delay == l:
-                acc += p.gain * np.exp(2j * np.pi * p.doppler * (q - l) / mn)
-        return acc
-
     def gain_table(self) -> np.ndarray:
         """Dense (l_max+1, MN) table of g[l, q]; rows off the support are zero."""
         if self._table is None:
@@ -131,9 +127,6 @@ class DiscreteChannel:
                 )
             self._table = table
         return self._table
-
-    def total_power(self) -> float:
-        return float(sum(abs(p.gain) ** 2 for p in self.paths))
 
 
 def sample_channel(
@@ -188,15 +181,15 @@ def apply_channel(
     return TimeSequence(r, seq.params)
 
 
-def full_matrix(ch: DiscreteChannel, max_size: int = 4096) -> np.ndarray:
+def full_matrix(ch: DiscreteChannel) -> np.ndarray:
     """Dense MN x MN channel matrix G[q, (q-l) mod MN] = g[l, q].
 
-    Test oracle only: refuses frames larger than max_size samples.
+    Test oracle only: refuses frames larger than _DENSE_CAP samples.
     """
     mn = ch.params.frame_len
-    if mn > max_size:
+    if mn > _DENSE_CAP:
         raise ValueError(
-            f"dense oracle refused: frame of {mn} samples exceeds cap {max_size}"
+            f"dense oracle refused: frame of {mn} samples exceeds cap {_DENSE_CAP}"
         )
     table = ch.gain_table()
     mat = np.zeros((mn, mn), dtype=np.complex128)
@@ -206,48 +199,6 @@ def full_matrix(ch: DiscreteChannel, max_size: int = 4096) -> np.ndarray:
     return mat
 
 
-@dataclass
-class SubChannel:
-    """The (l_max+1) x (2*l_max+1) sub-channel matrix around one time index.
-
-    Column c holds the truncated spreading vector for offset
-    offsets[c] = c - l_max; the middle column is the spreading vector of the
-    symbol at time index q itself.
-    """
-
-    matrix: np.ndarray
-    q: int
-    l_max: int
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.l_max, self.l_max + 1)
-
-    def g_vector(self, dl: int) -> np.ndarray:
-        """Truncated spreading vector for the interferer at offset dl."""
-        return self.matrix[:, dl + self.l_max]
-
-    @property
-    def spreading_vector(self) -> np.ndarray:
-        return self.matrix[:, self.l_max]
-
-
-def subchannel(ch: DiscreteChannel, q: int) -> SubChannel:
-    """Assemble the sub-input-output matrix for the symbol at time index q."""
-    mn = ch.params.frame_len
-    if not 0 <= q < mn:
-        raise ValueError("time index out of range")
-    table = ch.gain_table()
-    lm = ch.l_max
-    sup = set(ch.support)
-    mat = np.zeros((lm + 1, 2 * lm + 1), dtype=np.complex128)
-    for l in range(lm + 1):
-        for c, dl in enumerate(range(-lm, lm + 1)):
-            if (l - dl) in sup:
-                mat[l, c] = table[l - dl, (q + l) % mn]
-    return SubChannel(matrix=mat, q=q, l_max=lm)
-
-
 def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     """Sub-channel matrices for many time indices at once.
 
@@ -255,7 +206,7 @@ def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     array of shape (len(q_idx), l_max+1, 2*l_max+1) with
     stack[i, l, c] = gains[l-(c-l_max), (q_i+l) mod MN], zero where
     l-(c-l_max) leaves 0..l_max. For a true channel, stack[i] equals
-    subchannel(ch, q_i).matrix.
+    tests/oracles.subchannel(ch, q_i).
     """
     lm, mn = gains.shape[0] - 1, gains.shape[1]
     rows, cols = lm + 1, 2 * lm + 1
@@ -358,13 +309,8 @@ def serialize_paths(ch: DiscreteChannel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def deserialize_paths(
-    text: str,
-    params: ModemParams,
-    l_max: int | None = None,
-    k_max: int | None = None,
-) -> DiscreteChannel:
-    """Parse the text format written by :func:`serialize_paths`."""
+def deserialize_paths(text: str, params: ModemParams) -> DiscreteChannel:
+    """Parse :func:`serialize_paths` text; l_max and k_max cover every path."""
     paths = []
     for line in text.strip().splitlines():
         fields = line.split()
@@ -374,8 +320,6 @@ def deserialize_paths(
         paths.append(DDPath(delay=l, doppler=k, gain=float(fields[2]) + 1j * float(fields[3])))
     if not paths:
         raise ValueError("no paths in input")
-    if l_max is None:
-        l_max = max(params.max_delay, max(p.delay for p in paths))
-    if k_max is None:
-        k_max = max(abs(p.doppler) for p in paths)
+    l_max = max(params.max_delay, max(p.delay for p in paths))
+    k_max = max(abs(p.doppler) for p in paths)
     return DiscreteChannel(paths, l_max=l_max, k_max=k_max, params=params)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import band_columns
-from .modem import Constellation, DDGrid, TimeSequence
+from .modem import Constellation, TimeSequence
 from .pilot import EstimatedChannel
 
 __all__ = [
@@ -181,9 +181,8 @@ class IterationRecord:
 
 @dataclass
 class DetectionResult:
-    """Hard decisions plus optional per-iteration traces."""
+    """Hard decisions (alphabet indices) plus optional per-iteration traces."""
 
-    decisions: DDGrid
     index_grid: np.ndarray
     mse_trace: np.ndarray | None = None
     mse_init: float | None = None  # MSE of the state the first sweep starts from
@@ -311,19 +310,20 @@ def init_estimates(
 
 
 def _posterior_batch(values: np.ndarray, var: float, constellation: Constellation):
-    """Gaussian-likelihood posterior over the alphabet, for a shared variance."""
+    """Gaussian-likelihood posterior means and variances over the alphabet, for
+    a shared variance, and nearest_index(values) from the same distance table."""
     points = constellation.points
     d2 = np.abs(values[:, None] - points[None, :]) ** 2
+    idx = np.argmin(d2, axis=1)
     if var < 1e-12:
-        idx = np.argmin(d2, axis=1)
-        return points[idx].copy(), np.zeros(values.shape[0])
+        return points[idx].copy(), np.zeros(values.shape[0]), idx
     logp = -d2 / var
     logp -= logp.max(axis=1, keepdims=True)
     p = np.exp(logp)
     p /= p.sum(axis=1, keepdims=True)
     means = p @ points
     post_var = np.sum(p * np.abs(points[None, :] - means[:, None]) ** 2, axis=1)
-    return means, post_var
+    return means, post_var, idx
 
 
 def _combine_mrc(state, m, g, branches):
@@ -602,9 +602,7 @@ def run_iteration(
             feedback_dd = pts[decision] - d
         else:
             var_dd = float(np.mean(post_var))
-            means, pvars = _posterior_batch(x_tilde, var_dd, constellation)
-            decision = constellation.nearest_index(x_tilde)
-            feedback_dd = means
+            feedback_dd, pvars, decision = _posterior_batch(x_tilde, var_dd, constellation)
             state.row_var[m] = float(np.mean(pvars))
 
         if combine == "mmse":
@@ -748,9 +746,7 @@ def run_detector(
     decision_idx = records[-1].decision_idx.copy()
     if frozen.any():
         decision_idx[frozen] = constellation.nearest_index(known_grid[frozen])
-    decisions = DDGrid(constellation.points[decision_idx], params)
     return DetectionResult(
-        decisions=decisions,
         index_grid=decision_idx,
         mse_trace=np.array(mse[1:]) if mse is not None else None,
         mse_init=mse[0] if mse is not None else None,

@@ -22,6 +22,7 @@ from .modem import DDGrid, ModemParams, dd_to_time, make_constellation, time_to_
 from .pilot import (
     EstimatedChannel,
     PilotConfig,
+    channel_taps,
     embed_pilot,
     estimate_channel,
     perturb_channel,
@@ -56,10 +57,6 @@ _ROLE_FRAME = 0
 _ROLE_DETECTOR = 1
 _ROLE_CHANNEL = 2
 
-# seconds per delay tap: the paper's resolution T/512 at T = 66.67 us, on
-# which every configuration places the EVA taps, whatever n_delay is
-_DELAY_RES = 66.67e-6 / 512
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -93,10 +90,12 @@ class SimConfig:
     def __post_init__(self):
         for key in (
             "min_frame_errors", "max_frames", "n_ite", "chunk", "sinr_frames",
-            "evolve_chans", "est_trials",
+            "evolve_chans", "est_trials", "workers",
         ):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.pilot_mode not in PILOT_MODES:
             raise ValueError(f"unknown pilot mode {self.pilot_mode!r}")
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
@@ -116,7 +115,7 @@ class SimConfig:
 
     @functools.cached_property
     def profile(self) -> ChannelProfile:
-        return eva_profile(_DELAY_RES, self.k_max, self.max_tap)
+        return eva_profile(self.k_max, self.max_tap)
 
     @functools.cached_property
     def params(self) -> ModemParams:
@@ -486,17 +485,13 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     dg_acc = 0.0
     n_cells = 0
     n_gcells = 0
-    half = params.n_doppler // 2
     for t in range(cfg.est_trials):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         ch = sample_channel(cfg.profile, params, rng)
         grid = embed_pilot(data, pcfg, params)
         received = apply_channel(ch, dd_to_time(grid), float(np.sqrt(sigma_z2)), rng)
         est = estimate_channel(time_to_dd(received), pcfg)
-        true_taps = np.zeros_like(est.taps)
-        for pth in ch.paths:
-            true_taps[pth.delay, pth.doppler + half] += pth.gain
-        dh = est.taps - true_taps
+        dh = est.taps - channel_taps(ch)
         dh_acc += float(np.sum(np.abs(dh) ** 2))
         n_cells += dh.size
         dg = est.gains - ch.gain_table()

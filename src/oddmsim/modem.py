@@ -61,9 +61,6 @@ class DDGrid:
         if self.entries.shape != expect:
             raise ValueError(f"grid shape {self.entries.shape} != expected {expect}")
 
-    def copy(self) -> "DDGrid":
-        return DDGrid(self.entries.copy(), self.params)
-
 
 @dataclass
 class TimeSequence:
@@ -78,9 +75,6 @@ class TimeSequence:
             raise ValueError(
                 f"sequence length {self.samples.shape} != expected ({self.params.frame_len},)"
             )
-
-    def copy(self) -> "TimeSequence":
-        return TimeSequence(self.samples.copy(), self.params)
 
 
 def dd_to_time(grid: DDGrid) -> TimeSequence:
@@ -146,13 +140,6 @@ class Constellation:
         lut = np.empty(self.order, dtype=np.int64)
         lut[self.labels] = np.arange(self.order)
         return self.points[lut[patterns]]
-
-    def demap_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Recover the bit array (flat, MSB first) from alphabet indices."""
-        k = self.bits_per_symbol
-        patterns = self.labels[np.asarray(idx, dtype=np.int64)]
-        shifts = np.arange(k - 1, -1, -1)
-        return ((patterns[..., None] >> shifts) & 1).reshape(-1)
 
 
 def make_constellation(order: int) -> Constellation:

@@ -22,6 +22,7 @@ __all__ = [
     "embed_pilot",
     "estimate_channel",
     "perturb_channel",
+    "channel_taps",
     "gains_from_estimate",
     "serialize_estimate",
     "deserialize_estimate",
@@ -45,10 +46,6 @@ class PilotConfig:
     def dd_power(self) -> float:
         """DD-domain pilot power |x_pilot|^2."""
         return abs(self.amplitude) ** 2
-
-    def effective_power(self, params: ModemParams) -> float:
-        """Pilot power after time-domain spreading over N samples."""
-        return self.dd_power / params.n_doppler
 
     def guard_rows(self, params: ModemParams) -> np.ndarray:
         """Delay rows reserved for pilot plus guards (no data)."""
@@ -132,6 +129,19 @@ def _doppler_axis(params: ModemParams) -> np.ndarray:
     return np.arange(-(n // 2), n - n // 2)
 
 
+def channel_taps(ch: DiscreteChannel) -> np.ndarray:
+    """The channel's dense (l_max+1, N) DD tap table, Doppler k at column
+    k + N//2; paths add into their cell in path order."""
+    n = ch.params.n_doppler
+    taps = np.zeros((ch.l_max + 1, n), dtype=np.complex128)
+    half = n // 2
+    for p in ch.paths:
+        if not -half <= p.doppler < n - half:
+            raise ValueError("path Doppler outside the dense estimation window")
+        taps[p.delay, p.doppler + half] += p.gain
+    return taps
+
+
 def gains_from_estimate(taps: np.ndarray, params: ModemParams) -> EstimatedChannel:
     """Dense DD taps (l_max+1, N) -> per-tap time gains via one MN-point IDFT per row.
 
@@ -183,21 +193,14 @@ def perturb_channel(
     """
     if sigma2 < 0:
         raise ValueError("error variance must be non-negative")
-    params = ch.params
-    n = params.n_doppler
-    taps = np.zeros((ch.l_max + 1, n), dtype=np.complex128)
-    half = n // 2
-    for p in ch.paths:
-        if not -half <= p.doppler < n - half:
-            raise ValueError("path Doppler outside the dense estimation window")
-        taps[p.delay, p.doppler + half] += p.gain
+    taps = channel_taps(ch)
     if sigma2 > 0:
         if rng is None:
             raise ValueError("rng required when sigma2 > 0")
         taps = taps + np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(taps.shape) + 1j * rng.standard_normal(taps.shape)
         )
-    return gains_from_estimate(taps, params)
+    return gains_from_estimate(taps, ch.params)
 
 
 def serialize_estimate(est: EstimatedChannel) -> str:

@@ -9,10 +9,6 @@ from oddmsim import (
     sample_channel,
 )
 
-PAPER_T = 66.67e-6
-PAPER_DELAY_RES = PAPER_T / 512
-
-
 @pytest.fixture(scope="session")
 def desk_params():
     return ModemParams(n_delay=64, n_doppler=16, max_delay=8)
@@ -20,7 +16,7 @@ def desk_params():
 
 @pytest.fixture(scope="session")
 def desk_profile():
-    return eva_profile(PAPER_DELAY_RES, k_max=3, max_tap=9)
+    return eva_profile(k_max=3, max_tap=9)
 
 
 @pytest.fixture(scope="session")

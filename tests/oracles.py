@@ -1,14 +1,48 @@
-"""Per-symbol reference forms of the detector engine's row operations.
+"""Per-symbol reference forms of the channel and of the detector engine's
+row operations.
 
-The engine in oddmsim.detectors equalizes and slices a whole delay row at a
-time; these functions do the same for one symbol, written as directly as the
-paper states them, so tests can check the engine and the analysis against
-them.
+The package builds tap-gain tables and sub-channel stacks for many symbols
+at once, and the engine in oddmsim.detectors equalizes and slices a whole
+delay row at a time; these functions do the same for one symbol, written as
+directly as the paper states them, so tests can check the engine and the
+analysis against them.
 """
 
 import numpy as np
 
+from oddmsim.channel import DiscreteChannel
 from oddmsim.modem import Constellation
+
+
+def time_gain(ch: DiscreteChannel, l: int, q: int) -> complex:
+    """Tap gain g[l, q] summed over the paths; zero when none sits at delay l."""
+    mn = ch.params.frame_len
+    acc = 0.0 + 0.0j
+    for p in ch.paths:
+        if p.delay == l:
+            acc += p.gain * np.exp(2j * np.pi * p.doppler * (q - l) / mn)
+    return acc
+
+
+def subchannel(ch: DiscreteChannel, q: int) -> np.ndarray:
+    """The (l_max+1) x (2*l_max+1) sub-channel matrix of the symbol at q.
+
+    Column c holds the truncated spreading vector of the interferer at offset
+    c - l_max: entry [l, c] = g[l - (c - l_max), (q + l) mod MN], zero off the
+    support. The middle column is the symbol's own spreading vector.
+    """
+    mn = ch.params.frame_len
+    if not 0 <= q < mn:
+        raise ValueError("time index out of range")
+    table = ch.gain_table()
+    lm = ch.l_max
+    sup = set(ch.support)
+    mat = np.zeros((lm + 1, 2 * lm + 1), dtype=np.complex128)
+    for l in range(lm + 1):
+        for c, dl in enumerate(range(-lm, lm + 1)):
+            if (l - dl) in sup:
+                mat[l, c] = table[l - dl, (q + l) % mn]
+    return mat
 
 
 def stack_branches(state, q: int) -> np.ndarray:

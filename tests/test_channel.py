@@ -18,7 +18,6 @@ from oddmsim import (
     eva_profile,
     full_matrix,
     sample_channel,
-    subchannel,
     time_to_dd,
 )
 from oddmsim.channel import (
@@ -27,7 +26,8 @@ from oddmsim.channel import (
     serialize_paths,
     spreading_stack,
 )
-from conftest import PAPER_DELAY_RES
+
+from oracles import subchannel, time_gain
 
 
 def _small_params():
@@ -43,13 +43,13 @@ def _small_channel(seed=5):
 
 class TestProfile:
     def test_eva_taps_at_full_scale_resolution(self):
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        prof = eva_profile(k_max=5)
         assert prof.delays == (0, 0, 1, 2, 3, 5, 8, 13, 19)
         assert prof.max_delay == 19
         assert abs(sum(prof.powers) - 1.0) < 1e-12
 
     def test_truncation_keeps_low_taps(self):
-        prof = eva_profile(PAPER_DELAY_RES, k_max=3, max_tap=9)
+        prof = eva_profile(k_max=3, max_tap=9)
         assert prof.delays == (0, 0, 1, 2, 3, 5, 8)
         assert abs(sum(prof.powers) - 1.0) < 1e-12
 
@@ -66,7 +66,7 @@ class TestProfile:
 
 class TestSampling:
     def test_doppler_taps_stay_in_range(self):
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        prof = eva_profile(k_max=5)
         p = ModemParams(n_delay=64, n_doppler=16, max_delay=19)
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -75,13 +75,14 @@ class TestSampling:
 
     def test_mean_total_power_is_unity(self):
         # ensemble average of sum |h_p|^2 over many realizations
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        prof = eva_profile(k_max=5)
         p = ModemParams(n_delay=64, n_doppler=16, max_delay=19)
         rng = np.random.default_rng(1)
         total = 0.0
         n = 100_000
         for _ in range(n):
-            total += sample_channel(prof, p, rng).total_power()
+            ch = sample_channel(prof, p, rng)
+            total += sum(abs(path.gain) ** 2 for path in ch.paths)
         assert abs(total / n - 1.0) < 0.01
 
     def test_empty_profile_rejected(self):
@@ -94,7 +95,7 @@ class TestTimeGain:
         p = _small_params()
         ch = DiscreteChannel([DDPath(0, 0, 1.0)], l_max=3, k_max=2, params=p)
         for q in (0, 7, 47):
-            assert ch.time_gain(0, q) == pytest.approx(1.0)
+            assert time_gain(ch, 0, q) == pytest.approx(1.0)
 
     def test_single_path_phase_ramp(self):
         # one path at delay 2, Doppler 3, frame of 24 samples
@@ -102,14 +103,14 @@ class TestTimeGain:
         ch = DiscreteChannel([DDPath(2, 3, 1.0)], l_max=2, k_max=3, params=p)
         for q in range(24):
             expected = np.exp(2j * np.pi * 3 * (q - 2) / 24)
-            assert abs(ch.time_gain(2, q) - expected) < 1e-14
+            assert abs(time_gain(ch, 2, q) - expected) < 1e-14
 
     def test_off_support_delay_returns_zero(self):
         ch, _ = _small_channel()
-        assert ch.time_gain(2, 5) == 0
+        assert time_gain(ch, 2, 5) == 0
 
     def test_table_matches_direct_sum_oracle(self):
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        prof = eva_profile(k_max=5)
         p = ModemParams(n_delay=64, n_doppler=16, max_delay=19)
         rng = np.random.default_rng(3)
         ch = sample_channel(prof, p, rng)
@@ -130,7 +131,7 @@ class TestTimeGain:
         mn = p.frame_len
         for l in ch.support:
             for q in (0, 5, 11):
-                assert abs(ch.time_gain(l, q + mn) - ch.time_gain(l, q)) < 1e-12
+                assert abs(time_gain(ch, l, q + mn) - time_gain(ch, l, q)) < 1e-12
 
 
 class TestApplyChannel:
@@ -159,7 +160,7 @@ class TestApplyChannel:
         s[p.frame_len - 1] = 1.0
         r = apply_channel(ch, TimeSequence(s, p), 0.0).samples
         expected = np.zeros_like(s)
-        expected[1] = ch.time_gain(2, 1)
+        expected[1] = time_gain(ch, 2, 1)
         np.testing.assert_allclose(r, expected, atol=1e-15)
 
     def test_noise_requires_rng(self):
@@ -194,7 +195,7 @@ class TestFullMatrix:
         mn = p.frame_len
         for q in (0, 3, 17, mn - 1):
             for l in ch.support:
-                assert mat[q, (q - l) % mn] == pytest.approx(ch.time_gain(l, q))
+                assert mat[q, (q - l) % mn] == pytest.approx(time_gain(ch, l, q))
 
     def test_band_plus_corner_pattern(self):
         # nonzeros sit on the lower band or in the top-right corner block
@@ -209,7 +210,7 @@ class TestFullMatrix:
             assert on_band or in_corner
 
     def test_oracle_cap(self):
-        prof = eva_profile(PAPER_DELAY_RES, k_max=5)
+        prof = eva_profile(k_max=5)
         p = ModemParams(n_delay=512, n_doppler=32, max_delay=19)
         ch = sample_channel(prof, p, np.random.default_rng(0))
         with pytest.raises(ValueError, match="oracle"):
@@ -223,19 +224,18 @@ class TestSubChannel:
         for q in (0, 5, mn - 1):
             sc = subchannel(ch, q)
             expected = np.array(
-                [ch.time_gain(l, (q + l) % mn) for l in range(ch.l_max + 1)]
+                [time_gain(ch, l, (q + l) % mn) for l in range(ch.l_max + 1)]
             )
-            np.testing.assert_allclose(sc.spreading_vector, expected, atol=1e-14)
-            np.testing.assert_allclose(sc.g_vector(0), expected, atol=1e-14)
+            np.testing.assert_allclose(sc[:, ch.l_max], expected, atol=1e-14)
 
     def test_off_support_entries_are_zero(self):
         ch, _ = _small_channel()
         sc = subchannel(ch, 4)
         sup = set(ch.support)
         for l in range(ch.l_max + 1):
-            for c, dl in enumerate(sc.offsets):
+            for c, dl in enumerate(range(-ch.l_max, ch.l_max + 1)):
                 if (l - dl) not in sup:
-                    assert sc.matrix[l, c] == 0
+                    assert sc[l, c] == 0
 
     def test_sub_relation_matches_dense_oracle_everywhere(self):
         ch, p = _small_channel(seed=8)
@@ -248,7 +248,7 @@ class TestSubChannel:
             sc = subchannel(ch, q)
             r_q = np.array([r[(q + l) % mn] for l in range(lm + 1)])
             s_q = np.array([s[(q + dl) % mn] for dl in range(-lm, lm + 1)])
-            assert np.abs(sc.matrix @ s_q - r_q).max() <= 1e-12
+            assert np.abs(sc @ s_q - r_q).max() <= 1e-12
 
     def test_q_out_of_range(self):
         ch, p = _small_channel()
@@ -265,7 +265,7 @@ def _assert_stack_matches_oracle(ch, seed):
     stack = spreading_stack(ch.gain_table(), q_idx)
     assert stack.shape == (q_idx.size, lm + 1, 2 * lm + 1)
     for i, q in enumerate(q_idx):
-        np.testing.assert_array_equal(stack[i], subchannel(ch, int(q)).matrix)
+        np.testing.assert_array_equal(stack[i], subchannel(ch, int(q)))
 
 
 class TestSpreadingStack:
@@ -343,7 +343,7 @@ class TestSerialization:
         ch = DiscreteChannel(
             [DDPath(l, k, h) for l, k, h in paths], l_max=3, k_max=2, params=p
         )
-        back = deserialize_paths(serialize_paths(ch), p, l_max=3, k_max=2)
+        back = deserialize_paths(serialize_paths(ch), p)
         assert back.paths == ch.paths
         assert back.support == ch.support
 

@@ -42,6 +42,7 @@ from oracles import (
     mmse_combine,
     mrc_combine,
     stack_branches,
+    time_gain,
 )
 
 
@@ -135,7 +136,7 @@ class TestStackBranches:
         for q in (0, 17, mn - 1):
             branches = stack_branches(state, q)
             g_q = np.array(
-                [desk_channel.time_gain(l, (q + l) % mn) for l in range(desk_channel.l_max + 1)]
+                [time_gain(desk_channel, l, (q + l) % mn) for l in range(desk_channel.l_max + 1)]
             )
             assert np.abs(branches - g_q * seq.samples[q]).max() < 1e-12
 
@@ -344,7 +345,9 @@ class TestSlicers:
         if var > 1e-12:
             # the symmetric input (a four-way tie under the hard branch)
             values = np.append(values, 0.0)
-        means, post_var = detectors._posterior_batch(values, var, qam4)
+        means, post_var, nearest = detectors._posterior_batch(values, var, qam4)
+        # the decision comes from the posterior's own distance table
+        np.testing.assert_array_equal(nearest, qam4.nearest_index(values))
         for x, mean, pvar in zip(values, means, post_var):
             ref_mean, ref_var = dd_posterior(x, var, qam4)
             assert abs(mean - ref_mean) < 1e-12

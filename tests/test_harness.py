@@ -62,6 +62,16 @@ def _readme_config():
     return block, extra
 
 
+def test_readme_library_example_runs():
+    # a changed signature cannot leave the documented example stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["result"].bit_error_trace.shape == (10,)
+
+
 class TestConfigParsing:
     def test_round_trip_of_documented_keys(self):
         text = """
@@ -150,7 +160,8 @@ class TestConfigParsing:
             h.apply_config_text(h.desk_preset(), "just words\n")
 
     @pytest.mark.parametrize(
-        "key", ["min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials"]
+        "key",
+        ["min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials", "workers"],
     )
     def test_counts_below_one_rejected(self, key):
         # each would hang the stop rule or fail deep inside a sweep
@@ -168,10 +179,11 @@ class TestConfigParsing:
             ("delta_d_ratio", 2.0, "delta_d_ratio"),
             ("delta_d_ratio", 0.0, "delta_d_ratio"),
             ("n_doppler", 4, "k_max=3 .*n_doppler=4"),
+            ("seed", -1, "seed"),
         ],
         ids=[
             "max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0",
-            "n4-kmax3",
+            "n4-kmax3", "seed-neg",
         ],
     )
     def test_bad_value_rejected_before_any_output(self, key, value, message):

@@ -160,5 +160,7 @@ class TestConstellation:
             c = make_constellation(order)
             bits = rng.integers(0, 2, 30 * c.bits_per_symbol)
             syms = c.map_bits(bits)
-            back = c.demap_indices(c.nearest_index(syms))
-            np.testing.assert_array_equal(bits, back)
+            patterns = bits.reshape(-1, c.bits_per_symbol) @ (
+                1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+            )
+            np.testing.assert_array_equal(c.labels[c.nearest_index(syms)], patterns)

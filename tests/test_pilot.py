@@ -199,8 +199,8 @@ class TestPowerAccounting:
         p16 = _params(m=32, n=16, lmax=4)
         amp = pilot_amplitude_for_snr(30.0, sz2, p8)
         cfg = PilotConfig(amplitude=amp, max_delay=4)
-        snr8 = cfg.effective_power(p8) / sz2
-        snr16 = cfg.effective_power(p16) / sz2
+        snr8 = cfg.dd_power / p8.n_doppler / sz2
+        snr16 = cfg.dd_power / p16.n_doppler / sz2
         assert snr8 == pytest.approx(2 * snr16)
         assert 10 * np.log10(snr8) == pytest.approx(30.0)
 
