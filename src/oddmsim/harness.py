@@ -480,7 +480,10 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     params = cfg.params
     _, sigma_z2 = cfg.link(snr_db)
     pcfg = _pilot_config(cfg, sigma_z2)
+    # a pilot-only frame: the same transmitted sequence in every trial
     data = np.zeros(pcfg.data_cell_count(params), dtype=np.complex128)
+    sent = dd_to_time(embed_pilot(data, pcfg, params))
+    sigma_z = float(np.sqrt(sigma_z2))
     dh_acc = 0.0
     dg_acc = 0.0
     n_cells = 0
@@ -488,8 +491,7 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     for t in range(cfg.est_trials):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         ch = sample_channel(cfg.profile, params, rng)
-        grid = embed_pilot(data, pcfg, params)
-        received = apply_channel(ch, dd_to_time(grid), float(np.sqrt(sigma_z2)), rng)
+        received = apply_channel(ch, sent, sigma_z, rng)
         est = estimate_channel(time_to_dd(received), pcfg)
         dh = est.taps - channel_taps(ch)
         dh_acc += float(np.sum(np.abs(dh) ** 2))

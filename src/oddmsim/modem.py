@@ -129,7 +129,8 @@ class Constellation:
         """Index of the closest alphabet point; ties go to the lowest index."""
         v = np.asarray(values, dtype=np.complex128)
         d2 = np.abs(v[..., None] - self.points) ** 2
-        return np.argmin(d2, axis=-1)
+        # the method, not np.argmin: same kernel, no Python-level dispatch
+        return d2.argmin(axis=-1)
 
     def map_bits(self, bits: np.ndarray) -> np.ndarray:
         """Map a flat 0/1 array (length divisible by bits_per_symbol) to symbols."""

@@ -10,6 +10,7 @@ analysis against them.
 
 import numpy as np
 
+from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
 from oddmsim.modem import Constellation
 
@@ -43,6 +44,42 @@ def subchannel(ch: DiscreteChannel, q: int) -> np.ndarray:
             if (l - dl) in sup:
                 mat[l, c] = table[l - dl, (q + l) % mn]
     return mat
+
+
+def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
+    """analysis.channel_moments summed over every tap row, on the support or
+    not, in the same order: the reference its support-only loop must equal
+    bit for bit."""
+    table = ch.gain_table()
+    mn = ch.params.frame_len
+    lm = ch.l_max
+    own = np.empty_like(table)
+    for l in range(lm + 1):
+        own[l] = np.roll(table[l], -l)
+    abs_own2 = np.abs(own) ** 2
+    cross = {s: np.zeros(mn) for s in (-1, 1)}
+    branch = {s: np.zeros(mn) for s in (-1, 1)}
+    for dl in range(-lm, lm + 1):
+        if dl == 0:
+            continue
+        side = 1 if dl > 0 else -1
+        c_acc = np.zeros(mn, dtype=np.complex128)
+        for l in range(max(0, dl), min(lm, lm + dl) + 1):
+            vec = np.roll(table[l - dl], -l)  # g_{q,dl}[l] over q
+            c_acc += np.conj(own[l]) * vec
+            branch[side] += np.abs(vec) ** 2
+        cross[side] += np.abs(c_acc) ** 2
+    taps = np.arange(lm + 1)
+    return ChannelMoments(
+        l_max=lm,
+        energy=abs_own2.sum(axis=0),
+        cross_neg=cross[-1],
+        cross_pos=cross[1],
+        branch_neg=branch[-1],
+        branch_pos=branch[1],
+        mask_neg=(lm - taps) @ abs_own2,
+        mask_pos=taps @ abs_own2,
+    )
 
 
 def stack_branches(state, q: int) -> np.ndarray:

@@ -37,8 +37,11 @@ def test_declared_dependencies_match_imports():
 
 
 def test_numpy_floor_excludes_1x():
-    # the engine writes FFTs through out= and counts bits with bitwise_count,
-    # both numpy 2.0 additions
+    # the engine counts bits with bitwise_count, a numpy 2.0 addition, and
+    # calls the DFT gufuncs of numpy.fft._pocketfft_umath directly: numpy 2.0
+    # moved np.fft onto C++ pocketfft, exposed as those gufuncs (fft, ifft,
+    # each taking the array and its normalization factor, with out=), which
+    # np.fft._pocketfft._raw_fft calls; numpy 1.x has no such module
     (numpy,) = [d for d in _requirements() if d.lower().startswith("numpy")]
     floor = re.fullmatch(r"numpy\s*>=\s*(\d+)(\.\d+)*", numpy.strip())
     assert floor is not None and int(floor.group(1)) >= 2, numpy

@@ -59,3 +59,25 @@ def test_every_all_entry_resolves():
         if unresolved:
             missing[path.name] = unresolved
     assert missing == {}
+
+
+def _imports_pocketfft_gufuncs(path):
+    """Whether the module imports numpy.fft._pocketfft_umath in any form."""
+    target = "numpy.fft._pocketfft_umath"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            if any(a.name == target or a.name.startswith(target + ".") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == target or node.module.startswith(target + "."):
+                return True
+            if any(f"{node.module}.{a.name}" == target for a in node.names):
+                return True
+    return False
+
+
+def test_one_module_calls_the_pocketfft_gufuncs():
+    # numpy's private DFT gufuncs bypass np.fft's checks: one call site keeps
+    # that contract (kernel, factor, out= buffer) in one place
+    users = [p.name for p in _modules() if _imports_pocketfft_gufuncs(p)]
+    assert users == ["detectors.py"]
