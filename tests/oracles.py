@@ -1,17 +1,19 @@
 """Per-symbol reference forms of the channel and of the detector engine's
-row operations.
+row operations, and the engine's every-sweep loop.
 
 The package builds tap-gain tables and sub-channel stacks for many symbols
 at once, and the engine in oddmsim.detectors equalizes and slices a whole
 delay row at a time; these functions do the same for one symbol, written as
 directly as the paper states them, so tests can check the engine and the
-analysis against them.
+analysis against them. run_every_sweep is run_detector without its
+fixed-point exit.
 """
 
 import numpy as np
 
 from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
+from oddmsim.detectors import DetectionResult, init_estimates, run_iteration
 from oddmsim.modem import Constellation
 
 
@@ -162,3 +164,78 @@ def dd_posterior(value: complex, var: float, constellation: Constellation):
     p /= p.sum()
     mean = p @ points
     return complex(mean), float(np.sum(p * np.abs(points - mean) ** 2))
+
+
+def lanes_in_sample_order(lanes) -> np.ndarray:
+    """(N, l_max+1, l_max+1) copy of an MMSE sweep's lane windows, offset 0
+    first: the windows' ring-buffer slots put back in sample order."""
+    order = (lanes.phase + np.arange(lanes.size)) % lanes.size
+    return lanes.window[:, order][:, :, order]
+
+
+def run_every_sweep(
+    seq,
+    est,
+    cfg,
+    constellation,
+    rng,
+    *,
+    sigma_z2,
+    truth,
+    true_indices,
+    known_rows=None,
+    known_grid=None,
+    collect_equalized=False,
+) -> DetectionResult:
+    """run_detector with no fixed-point exit: the same starting state and
+    dither grid, then one run_iteration sweep for every entry of the plan."""
+    state = init_estimates(
+        seq,
+        est,
+        cfg.initializer,
+        sigma_z2,
+        constellation.power,
+        known_rows=known_rows,
+        known_grid=known_grid,
+    )
+    plan = cfg.plan()
+    dither = [None] * len(plan)
+    if plan[0][1] == "dither":  # a dither kind dithers every sweep
+        delta = cfg.resolved_delta(constellation)
+        shape = (cfg.n_ite, *state.decision.shape)
+        dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
+            -delta, delta, shape
+        )
+    mse = [float(np.mean(np.abs(state.shat - truth) ** 2))]
+    records = []
+    for (combine, slicer), d in zip(plan, dither):
+        records.append(
+            run_iteration(
+                state,
+                combine,
+                slicer,
+                constellation,
+                sigma_z2,
+                m_0=cfg.m_0,
+                dither=d,
+                collect=collect_equalized,
+            )
+        )
+        mse.append(float(np.mean(np.abs(state.shat - truth) ** 2)))
+    free = ~state.frozen_rows
+    labels = constellation.labels
+    sent_labels = labels[true_indices[free]]
+    bits = [
+        int(np.bitwise_count(labels[rec.decision_idx[free]] ^ sent_labels).sum())
+        for rec in records
+    ]
+    index_grid = records[-1].decision_idx.copy()
+    if not free.all():
+        index_grid[~free] = constellation.nearest_index(known_grid[~free])
+    return DetectionResult(
+        index_grid=index_grid,
+        mse_trace=np.array(mse[1:]),
+        mse_init=mse[0],
+        bit_error_trace=np.array(bits),
+        records=records if collect_equalized else [],
+    )

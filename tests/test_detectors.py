@@ -1,7 +1,9 @@
 """Detector ops (against the per-symbol forms in oracles.py) and the shared
-engine, including property tests of its running-residual invariant and of its
-dirty-row schedule, and the engine surface perfbench/tracing.py wraps."""
+engine, including property tests of its running-residual invariant, of its
+dirty-row schedule and of its fixed-point exit, and the engine surface
+perfbench/tracing.py wraps."""
 
+import copy
 import importlib.util
 import inspect
 from pathlib import Path
@@ -38,9 +40,11 @@ from oddmsim.modem import time_to_dd
 from oracles import (
     dd_posterior,
     dithered_ml_slice,
+    lanes_in_sample_order,
     ml_slice,
     mmse_combine,
     mrc_combine,
+    run_every_sweep,
     stack_branches,
     time_gain,
 )
@@ -680,7 +684,7 @@ class TestLaneWindows:
             v_diag = state.row_var[(m + np.arange(-lm, lm + 1)) % m_count]
             cov = np.matmul(stack * v_diag, np.conj(stack.transpose(0, 2, 1)))
             cov += sz2 * np.eye(lm + 1)
-            window = lanes.in_sample_order()
+            window = lanes_in_sample_order(lanes)
             assert np.max(np.abs(window - cov)) <= 1e-12 * np.max(np.abs(cov)), m
             v_diag[lm] = state.power  # the filter gives its own symbol full power
             expected = [
@@ -959,3 +963,182 @@ class TestDirtyRowSchedule:
         for rec, rec_ref in zip(res.records, ref.records, strict=True):
             assert np.array_equal(rec.equalized, rec_ref.equalized)
             assert np.array_equal(rec.normalizer, rec_ref.normalizer)
+
+
+def _same_bits(a, b):
+    """Equal as raw bits: equal NaNs match, -0.0 and 0.0 do not."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_detection(res, ref):
+    for name in ("index_grid", "mse_init", "mse_trace", "bit_error_trace"):
+        assert _same_bits(getattr(res, name), getattr(ref, name)), name
+    assert len(res.records) == len(ref.records)
+    for i, (rec, rec_ref) in enumerate(zip(res.records, ref.records)):
+        for name in ("decision_idx", "equalized", "normalizer"):
+            assert _same_bits(getattr(rec, name), getattr(rec_ref, name)), (i, name)
+
+
+def _count_sweeps(monkeypatch, then=None):
+    """The combine of every detectors.run_iteration call, in call order;
+    then(state), when given, runs after each call."""
+    calls = []
+    sweep = detectors.run_iteration
+
+    def counting(state, combine, *args, **kwargs):
+        calls.append(combine)
+        record = sweep(state, combine, *args, **kwargs)
+        if then is not None:
+            then(state)
+        return record
+
+    monkeypatch.setattr(detectors, "run_iteration", counting)
+    return calls
+
+
+class _Handed(Exception):
+    pass
+
+
+def _harness_inputs(cfg, kind, snr_db, monkeypatch):
+    """What harness hands run_detector for frame 0 of a BER point, plus the
+    transmitted time sequence as the MSE reference."""
+    handed = {}
+
+    def capture(*args, **kwargs):
+        handed.update(args=args, kwargs=kwargs)
+        raise _Handed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run_detector", capture)
+        with pytest.raises(_Handed):
+            harness._ber_frame(cfg, kind, snr_db, 0, 0)
+    seq, est, det_cfg, const, rng = handed["args"]
+    kwargs = handed["kwargs"]
+    # estimated CSI pins the guard rows to the sent grid; under perfect CSI
+    # every cell is data and true_indices names the sent grid
+    sent = kwargs["known_grid"]
+    if sent is None:
+        sent = const.points[kwargs["true_indices"]]
+    kwargs["truth"] = dd_to_time(DDGrid(sent, cfg.params)).samples
+    return (seq, est, det_cfg, const, rng), kwargs
+
+
+def _pin_every_row(cfg, args, kwargs):
+    """Pin every row of a perfect-CSI frame from _harness_inputs to the sent
+    grid: then no sweep changes anything."""
+    kwargs["known_rows"] = np.ones(cfg.n_delay, dtype=bool)
+    kwargs["known_grid"] = args[3].points[kwargs["true_indices"]]
+
+
+class TestFixedPointExit:
+    """run_detector stops at an exact fixed point and reports the remaining
+    sweeps as copies of the last one: every output equals, bit for bit, that
+    of running every sweep of the plan (oracles.run_every_sweep)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n_ite=st.integers(1, 8),
+        m_0=st.integers(0, TINY.n_delay - 1),
+        seed=st.integers(0, 2**16),
+        snr_db=st.sampled_from([10.0, 20.0, 30.0]),
+        estimated=st.booleans(),
+        frozen=st.lists(st.booleans(), min_size=TINY.n_delay, max_size=TINY.n_delay),
+        collect=st.booleans(),
+    )
+    def test_tiny_frames_match_every_sweep(
+        self, kind, n_ite, m_0, seed, snr_db, estimated, frozen, collect
+    ):
+        rng = np.random.default_rng(seed)
+        qam4 = make_constellation(4)
+        prof = ChannelProfile(delays=(0, 1, 2), powers=(0.5, 0.3, 0.2), k_max=1)
+        ch = sample_channel(prof, TINY, rng)
+        if estimated:
+            est = perturb_channel(ch, 1e-3, rng)
+        else:
+            est = EstimatedChannel.from_true(ch)
+        grid, seq = _frame(TINY, qam4, rng)
+        sz2 = 10.0 ** (-snr_db / 10.0)
+        received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
+        args = (received, est, DetectorConfig(kind, n_ite=n_ite, m_0=m_0), qam4)
+        kwargs = dict(
+            sigma_z2=sz2,
+            known_rows=np.array(frozen),
+            known_grid=grid.entries,
+            truth=seq.samples,
+            true_indices=qam4.nearest_index(grid.entries),
+            collect_equalized=collect,
+        )
+        res = run_detector(*args, np.random.default_rng(seed), **kwargs)
+        ref = run_every_sweep(*args, np.random.default_rng(seed), **kwargs)
+        _assert_same_detection(res, ref)
+
+    @pytest.mark.parametrize("pilot_mode", ["perfect_csi", "estimated"])
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_harness_frames_match_every_sweep(
+        self, kind, scale, pilot_mode, monkeypatch
+    ):
+        # paper frames run 6 sweeps: soft SIC-MMSE at 17 dB is fixed by the
+        # 4th on most frames, and every oracle sweep costs a paper MMSE sweep
+        cfg = harness.PRESETS[scale](
+            pilot_mode=pilot_mode, snr_pilot_db=40.0, n_ite=10 if scale == "desk" else 6
+        )
+        (*inputs, rng), kwargs = _harness_inputs(cfg, kind, 17.0, monkeypatch)
+        kwargs["collect_equalized"] = True
+        res = run_detector(*inputs, copy.deepcopy(rng), **kwargs)
+        ref = run_every_sweep(*inputs, rng, **kwargs)
+        _assert_same_detection(res, ref)
+
+    def test_high_snr_soft_frame_stops_early(self, monkeypatch):
+        cfg = harness.desk_preset()
+        args, kwargs = _harness_inputs(cfg, "soft_sicmmse", 20.0, monkeypatch)
+        calls = _count_sweeps(monkeypatch)
+        res = run_detector(*args, **kwargs)
+        assert 1 <= len(calls) < cfg.n_ite
+        assert len(res.bit_error_trace) == len(res.mse_trace) == cfg.n_ite
+
+    @pytest.mark.parametrize("all_frozen", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_only_a_sweep_the_rest_of_the_plan_repeats_can_stop(
+        self, kind, all_frozen, monkeypatch
+    ):
+        n_ite = 6
+        cfg = harness.desk_preset(n_ite=n_ite)
+        args, kwargs = _harness_inputs(cfg, kind, 20.0, monkeypatch)
+        if all_frozen:
+            # only the plan can keep the detector sweeping
+            _pin_every_row(cfg, args, kwargs)
+        calls = _count_sweeps(monkeypatch)
+        run_detector(*args, **kwargs)
+        _, first, later = DETECTORS[kind]
+        if later[1] == "dither":
+            # a fresh dither grid every sweep
+            assert len(calls) == n_ite
+        else:
+            # MMSE-first plans run their first MRC sweep whatever the MMSE
+            # sweep left
+            repeated_from = 1 if first == later else 2
+            assert repeated_from <= len(calls) <= n_ite
+            if all_frozen:
+                assert len(calls) == repeated_from
+
+    @pytest.mark.parametrize("name", ["shat", "row_var", "resid"])
+    def test_any_bit_a_sweep_changes_keeps_it_sweeping(self, name, monkeypatch):
+        cfg = harness.desk_preset(n_ite=6)
+        args, kwargs = _harness_inputs(cfg, "soft_sicmmse", 20.0, monkeypatch)
+        _pin_every_row(cfg, args, kwargs)
+
+        def change_one_bit(state):
+            # the pinned rows' variances are 0.0, so this flips the sign of a
+            # zero there: a change only a bitwise comparison sees
+            x = getattr(state, name).view(np.float64)
+            x[0] = -x[0] if x[0] == 0.0 else np.nextafter(x[0], np.inf)
+
+        calls = _count_sweeps(monkeypatch, then=change_one_bit)
+        run_detector(*args, **kwargs)
+        assert len(calls) == cfg.n_ite
