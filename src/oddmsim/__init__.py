@@ -14,9 +14,7 @@ from .channel import (
     DDPath,
     DiscreteChannel,
     apply_channel,
-    dd_reference_output,
     eva_profile,
-    full_matrix,
     sample_channel,
 )
 from .pilot import (

@@ -15,8 +15,9 @@ channel.spreading_stack), after which each v costs one elementwise sum; the
 soft state evolution evaluates only this table. sinr_soft_profile, which the
 SINR sweep uses for its split current/previous variances, solves each filter
 against the same stack_covariance build; the detectors' soft MMSE rows form
-the same filter from sliding covariance windows. The dithered-MRC bound is the
-MRC form with the dither as the only symbol error.
+the same filter from sliding covariance windows. The dithered-MRC bound needs
+no evaluator of its own: it is the MRC form with the dither (variance
+delta_d^2/3 per axis) as the only symbol error.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
     "soft_spectrum",
     "sinr_mrc_profile",
     "sinr_soft_profile",
-    "mrc_sd_sinr_bound",
     "ser_union_bound",
     "state_evolution",
     "decompose_equalized",
@@ -288,19 +288,6 @@ def sinr_soft_profile(ch: DiscreteChannel, errs: ErrorState) -> np.ndarray:
         )
         out[sel] = signal / ripn
     return out
-
-
-def mrc_sd_sinr_bound(
-    ch: DiscreteChannel, delta_d: float, sigma_z2: float, power: float = 1.0
-) -> np.ndarray:
-    """Asymptotic SINR bound of the dithered-slicer MRC detector for every q.
-
-    The MRC form with the dither (per-axis variance delta_d^2/3) as the only
-    symbol error, on the current and previous interferers alike, and no
-    channel estimation error.
-    """
-    sigma_d2 = delta_d**2 / 3.0
-    return sinr_mrc_profile(ch, ErrorState(sigma_d2, sigma_d2, 0.0, power, sigma_z2))
 
 
 def ser_union_bound(sinr_mean: float, constellation: Constellation) -> float:

@@ -1,12 +1,14 @@
-"""Discrete doubly-selective channel: sampling, tap gains, and oracles.
+"""Discrete doubly-selective channel: sampling, tap gains, and the sub-channel
+stack.
 
 A channel realization is a set of on-grid paths (delay index, Doppler index,
-complex gain). The production receive path applies the channel sample by
-sample; a dense matrix builder and a delay-Doppler-domain reference output are
-kept as independent test oracles. The sub-channel around one symbol comes in
-a batched form (spreading_stack, with its covariance stack_covariance) that
-the analysis builds its filters and spectra from and the detector tests check
-against; its per-symbol form is tests/oracles.subchannel.
+complex gain). The receive path applies the channel sample by sample; the
+dense channel matrix and the delay-Doppler-domain reference output it is
+checked against are test oracles in tests/oracles.py. The sub-channel around
+one symbol comes in a batched form (spreading_stack, with its covariance
+stack_covariance) that the analysis builds its filters and spectra from and
+the detector tests check against; its per-symbol form is
+tests/oracles.subchannel.
 The detectors' MMSE rows slide windows of the banded covariance instead,
 appending one column from band_columns per row.
 """
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .modem import DDGrid, ModemParams, TimeSequence
+from .modem import ModemParams, TimeSequence
 
 __all__ = [
     "DDPath",
@@ -25,13 +27,9 @@ __all__ = [
     "eva_profile",
     "sample_channel",
     "apply_channel",
-    "full_matrix",
     "spreading_stack",
     "stack_covariance",
     "band_columns",
-    "dd_reference_output",
-    "serialize_paths",
-    "deserialize_paths",
 ]
 
 # 3GPP Extended Vehicular A power delay profile
@@ -41,9 +39,6 @@ EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 # seconds per delay tap: the paper's resolution T/512 at T = 66.67 us, on
 # which every configuration places the EVA taps, whatever n_delay is
 _DELAY_RES = 66.67e-6 / 512
-
-# the dense oracle's largest frame, in samples
-_DENSE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -181,24 +176,6 @@ def apply_channel(
     return TimeSequence(r, seq.params)
 
 
-def full_matrix(ch: DiscreteChannel) -> np.ndarray:
-    """Dense MN x MN channel matrix G[q, (q-l) mod MN] = g[l, q].
-
-    Test oracle only: refuses frames larger than _DENSE_CAP samples.
-    """
-    mn = ch.params.frame_len
-    if mn > _DENSE_CAP:
-        raise ValueError(
-            f"dense oracle refused: frame of {mn} samples exceeds cap {_DENSE_CAP}"
-        )
-    table = ch.gain_table()
-    mat = np.zeros((mn, mn), dtype=np.complex128)
-    q = np.arange(mn)
-    for l in ch.support:
-        mat[q, (q - l) % mn] = table[l]
-    return mat
-
-
 def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     """Sub-channel matrices for many time indices at once.
 
@@ -275,51 +252,3 @@ def band_columns(block: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarra
     # the diagonal is real: drop the rounding residue of its imaginary part
     col[:, 0] = col[:, 0].real + sigma_z2
     return col
-
-
-def dd_reference_output(ch: DiscreteChannel, grid: DDGrid) -> DDGrid:
-    """Noiseless DD-domain channel output, including the CP phase correction.
-
-    Independent of the time-domain pipeline; used to validate it end to end.
-    """
-    p = grid.params
-    m_ax = np.arange(p.n_delay)[:, None]
-    n_ax = np.arange(p.n_doppler)[None, :]
-    mn = p.frame_len
-    out = np.zeros_like(grid.entries)
-    for path in ch.paths:
-        shifted = np.roll(grid.entries, (path.delay, path.doppler), axis=(0, 1))
-        phase = np.exp(2j * np.pi * (m_ax - path.delay) * path.doppler / mn)
-        cp_rows = m_ax < path.delay
-        alpha = np.where(
-            cp_rows,
-            np.exp(-2j * np.pi * ((n_ax - path.doppler) % p.n_doppler) / p.n_doppler),
-            1.0,
-        )
-        out += path.gain * phase * alpha * shifted
-    return DDGrid(out, p)
-
-
-def serialize_paths(ch: DiscreteChannel) -> str:
-    """One path per line: `l k re(h) im(h)` (regression-fixture format)."""
-    lines = [
-        f"{p.delay} {p.doppler} {p.gain.real:.17g} {p.gain.imag:.17g}"
-        for p in ch.paths
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_paths(text: str, params: ModemParams) -> DiscreteChannel:
-    """Parse :func:`serialize_paths` text; l_max and k_max cover every path."""
-    paths = []
-    for line in text.strip().splitlines():
-        fields = line.split()
-        if len(fields) != 4:
-            raise ValueError(f"malformed path line: {line!r}")
-        l, k = int(fields[0]), int(fields[1])
-        paths.append(DDPath(delay=l, doppler=k, gain=float(fields[2]) + 1j * float(fields[3])))
-    if not paths:
-        raise ValueError("no paths in input")
-    l_max = max(params.max_delay, max(p.delay for p in paths))
-    k_max = max(abs(p.doppler) for p in paths)
-    return DiscreteChannel(paths, l_max=l_max, k_max=k_max, params=params)

@@ -7,6 +7,7 @@ estimation error statistics). Output is CSV on stdout or at --out.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .harness import PRESETS, SWEEP_MODES, load_config, run_sweep
 
@@ -32,14 +33,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = PRESETS[args.preset]()
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = PRESETS[args.preset]()
+        if args.config:
+            cfg = load_config(args.config, cfg)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+    except (ValueError, OSError) as exc:
+        # a bad or unreadable configuration: one usage and error line and
+        # exit code 2, before any output file is opened
+        parser.error(str(exc))
     if not cfg.snr_db:
         print("configuration has an empty snr_db grid", file=sys.stderr)
         return 2

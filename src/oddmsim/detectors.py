@@ -307,15 +307,11 @@ def init_estimates(
         shat.reshape(n, m_count)[:, rows] = known_time.T
         frozen[rows] = True
         row_var[rows] = 0.0
-    if mode == "zeros" and not frozen.any():
-        resid = r.copy()
-    else:
-        resid = _residual_from_scratch(r, est, shat)
     return SymbolState(
         r=r,
         est=est,
         shat=shat,
-        resid=resid,
+        resid=_residual_from_scratch(r, est, shat),
         row_var=row_var,
         frozen_rows=frozen,
         power=power,

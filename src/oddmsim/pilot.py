@@ -24,8 +24,6 @@ __all__ = [
     "perturb_channel",
     "channel_taps",
     "gains_from_estimate",
-    "serialize_estimate",
-    "deserialize_estimate",
 ]
 
 
@@ -97,7 +95,10 @@ class EstimatedChannel:
     delay rows that may be nonzero (all rows for a pilot-based estimate, the
     true sparse support under perfect CSI), and the rows off it must be zero.
     The detectors read every row, so the zeros keep their sums exactly those
-    over the support.
+    over the support. taps is the dense (l_max+1, N) DD tap table a pilot or
+    synthetic estimate was built from (None under perfect CSI); the
+    estimation-statistics sweep (harness.est_stats_point) reads it to measure
+    the DD-domain error.
     """
 
     def __init__(
@@ -201,32 +202,3 @@ def perturb_channel(
             rng.standard_normal(taps.shape) + 1j * rng.standard_normal(taps.shape)
         )
     return gains_from_estimate(taps, ch.params)
-
-
-def serialize_estimate(est: EstimatedChannel) -> str:
-    """Dense-support text dump, one `l k re im` line per DD tap."""
-    if est.taps is None:
-        raise ValueError("estimate carries no DD tap table")
-    ks = _doppler_axis(est.params)
-    lines = []
-    for l in range(est.taps.shape[0]):
-        for j, k in enumerate(ks):
-            h = est.taps[l, j]
-            lines.append(f"{l} {k} {h.real:.17g} {h.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_estimate(text: str, params: ModemParams) -> EstimatedChannel:
-    """Parse the dense text format written by :func:`serialize_estimate`."""
-    rows = {}
-    for line in text.strip().splitlines():
-        f = line.split()
-        if len(f) != 4:
-            raise ValueError(f"malformed tap line: {line!r}")
-        rows[(int(f[0]), int(f[1]))] = float(f[2]) + 1j * float(f[3])
-    l_max = max(l for l, _ in rows)
-    taps = np.zeros((l_max + 1, params.n_doppler), dtype=np.complex128)
-    half = params.n_doppler // 2
-    for (l, k), h in rows.items():
-        taps[l, k + half] = h
-    return gains_from_estimate(taps, params)

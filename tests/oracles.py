@@ -1,12 +1,14 @@
 """Per-symbol reference forms of the channel and of the detector engine's
-row operations, and the engine's every-sweep loop.
+row operations, the dense channel oracles, and the engine's every-sweep loop.
 
 The package builds tap-gain tables and sub-channel stacks for many symbols
 at once, and the engine in oddmsim.detectors equalizes and slices a whole
 delay row at a time; these functions do the same for one symbol, written as
 directly as the paper states them, so tests can check the engine and the
-analysis against them. run_every_sweep is run_detector without its
-fixed-point exit.
+analysis against them. full_matrix (the dense channel matrix) and
+dd_reference_output (the closed-form DD-domain output) check the sample-wise
+channel application. run_every_sweep is run_detector without its fixed-point
+exit.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
 from oddmsim.detectors import DetectionResult, init_estimates, run_iteration
-from oddmsim.modem import Constellation
+from oddmsim.modem import Constellation, DDGrid
 
 
 def time_gain(ch: DiscreteChannel, l: int, q: int) -> complex:
@@ -46,6 +48,51 @@ def subchannel(ch: DiscreteChannel, q: int) -> np.ndarray:
             if (l - dl) in sup:
                 mat[l, c] = table[l - dl, (q + l) % mn]
     return mat
+
+
+# the dense oracle's largest frame, in samples
+_DENSE_CAP = 4096
+
+
+def full_matrix(ch: DiscreteChannel) -> np.ndarray:
+    """Dense MN x MN channel matrix G[q, (q-l) mod MN] = g[l, q].
+
+    Refuses frames larger than _DENSE_CAP samples.
+    """
+    mn = ch.params.frame_len
+    if mn > _DENSE_CAP:
+        raise ValueError(
+            f"dense oracle refused: frame of {mn} samples exceeds cap {_DENSE_CAP}"
+        )
+    table = ch.gain_table()
+    mat = np.zeros((mn, mn), dtype=np.complex128)
+    q = np.arange(mn)
+    for l in ch.support:
+        mat[q, (q - l) % mn] = table[l]
+    return mat
+
+
+def dd_reference_output(ch: DiscreteChannel, grid: DDGrid) -> DDGrid:
+    """Noiseless DD-domain channel output, including the CP phase correction.
+
+    Independent of the time-domain pipeline; used to validate it end to end.
+    """
+    p = grid.params
+    m_ax = np.arange(p.n_delay)[:, None]
+    n_ax = np.arange(p.n_doppler)[None, :]
+    mn = p.frame_len
+    out = np.zeros_like(grid.entries)
+    for path in ch.paths:
+        shifted = np.roll(grid.entries, (path.delay, path.doppler), axis=(0, 1))
+        phase = np.exp(2j * np.pi * (m_ax - path.delay) * path.doppler / mn)
+        cp_rows = m_ax < path.delay
+        alpha = np.where(
+            cp_rows,
+            np.exp(-2j * np.pi * ((n_ax - path.doppler) % p.n_doppler) / p.n_doppler),
+            1.0,
+        )
+        out += path.gain * phase * alpha * shifted
+    return DDGrid(out, p)
 
 
 def channel_moments(ch: DiscreteChannel) -> ChannelMoments:

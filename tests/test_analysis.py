@@ -7,7 +7,6 @@ from oddmsim import analysis as an
 from oddmsim.analysis import (
     ErrorState,
     channel_moments,
-    mrc_sd_sinr_bound,
     ser_union_bound,
     sinr_from_powers,
     sinr_mrc_profile,
@@ -492,5 +491,8 @@ class TestMrcSdBound:
             psi_p += np.abs(psi) ** 2
             eta_p += np.abs(eta) ** 2
         measured = np.mean(psi_p / eta_p)
-        bounds = mrc_sd_sinr_bound(desk_channel, delta, sz2)[::64]
+        # the MRC form with the dither (variance delta^2/3 per axis) as the
+        # only symbol error, on the current and previous interferers alike
+        d2 = delta**2 / 3
+        bounds = sinr_mrc_profile(desk_channel, ErrorState(d2, d2, 0.0, 1.0, sz2))[::64]
         assert measured < bounds.mean()

@@ -3,8 +3,6 @@ sub-channel primitive (the spreading stack)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oddmsim import (
     ChannelProfile,
@@ -13,21 +11,14 @@ from oddmsim import (
     ModemParams,
     TimeSequence,
     apply_channel,
-    dd_reference_output,
     dd_to_time,
     eva_profile,
-    full_matrix,
     sample_channel,
     time_to_dd,
 )
-from oddmsim.channel import (
-    DiscreteChannel,
-    deserialize_paths,
-    serialize_paths,
-    spreading_stack,
-)
+from oddmsim.channel import DiscreteChannel, spreading_stack
 
-from oracles import subchannel, time_gain
+from oracles import dd_reference_output, full_matrix, subchannel, time_gain
 
 
 def _small_params():
@@ -316,43 +307,3 @@ class TestDDReference:
                 if m < l_p:
                     base *= np.exp(-2j * np.pi * ((n - k_p) % 4) / 4)
                 assert abs(out[m, n] - base) < 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        ch, p = _small_channel()
-        text = serialize_paths(ch)
-        back = deserialize_paths(text, p)
-        assert np.abs(back.gain_table() - ch.gain_table()).max() == 0
-        assert back.support == ch.support
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        paths=st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.integers(-2, 2),
-                st.complex_numbers(allow_nan=False, allow_infinity=False),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_round_trip_of_any_path_set(self, paths):
-        p = _small_params()
-        ch = DiscreteChannel(
-            [DDPath(l, k, h) for l, k, h in paths], l_max=3, k_max=2, params=p
-        )
-        back = deserialize_paths(serialize_paths(ch), p)
-        assert back.paths == ch.paths
-        assert back.support == ch.support
-
-    def test_malformed_line(self):
-        p = _small_params()
-        with pytest.raises(ValueError):
-            deserialize_paths("0 0 1.0\n", p)
-
-    def test_empty_input(self):
-        p = _small_params()
-        with pytest.raises(ValueError):
-            deserialize_paths("", p)

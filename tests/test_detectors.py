@@ -29,7 +29,6 @@ from oddmsim.channel import (
     DDPath,
     DiscreteChannel,
     band_columns,
-    full_matrix,
     spreading_stack,
 )
 from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
@@ -40,6 +39,7 @@ from oddmsim.modem import time_to_dd
 from oracles import (
     dd_posterior,
     dithered_ml_slice,
+    full_matrix,
     lanes_in_sample_order,
     ml_slice,
     mmse_combine,
@@ -101,6 +101,18 @@ class TestInit:
         assert np.all(state.shat == 0)
         assert np.all(state.row_var == 1.0)
         np.testing.assert_array_equal(state.resid, seq.samples)
+
+    def test_zeros_mode_residual_is_the_received_signal_bit_for_bit(
+        self, desk_channel, desk_perfect, qam4
+    ):
+        # the residual is built by subtracting every tap's gain times an
+        # all-zero estimate; on a noisy signal that leaves r unchanged
+        rng = np.random.default_rng(31)
+        _, seq = _frame(desk_channel.params, qam4, rng)
+        received = apply_channel(desk_channel, seq, 0.05, rng)
+        state = init_estimates(received, desk_perfect, "zeros", 0.05)
+        assert state.resid is not state.r
+        assert np.array_equal(state.resid.view(np.uint64), state.r.view(np.uint64))
 
     def test_freq_mmse_flat_channel_noiseless(self, qam4):
         p = ModemParams(n_delay=16, n_doppler=8, max_delay=2)

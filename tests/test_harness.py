@@ -381,3 +381,43 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.out.startswith(h.BER_HEADER)
+
+    @pytest.mark.parametrize(
+        "cfg_text, extra, message",
+        [
+            ("qam = 5\n", [], "constellation order 5"),
+            ("snr_db = 10\n", ["--seed", "-1"], "seed must be non-negative"),
+            (None, [], "No such file"),
+        ],
+        ids=["bad-value", "negative-seed", "missing-config"],
+    )
+    def test_configuration_error_is_a_usage_error(
+        self, tmp_path, capsys, cfg_text, extra, message
+    ):
+        cfgfile = tmp_path / "run.cfg"
+        if cfg_text is not None:
+            cfgfile.write_text(cfg_text)
+        outfile = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ber", "--config", str(cfgfile), "--out", str(outfile)] + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("usage: oddmsim")
+        assert err[1].startswith("oddmsim: error: ") and message in err[1]
+        assert not outfile.exists()
+
+    def test_error_after_the_header_propagates(self, tmp_path, monkeypatch):
+        # only the configuration is a usage error; a failure during the sweep
+        # keeps its traceback
+        def failing_sweep(cfg, mode, out):
+            out.write(h.BER_HEADER + "\n")
+            raise ValueError("failed mid-sweep")
+
+        monkeypatch.setattr("oddmsim.cli.run_sweep", failing_sweep)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("snr_db = 10\n")
+        outfile = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="mid-sweep"):
+            cli_main(["ber", "--config", str(cfgfile), "--out", str(outfile)])
+        assert outfile.read_text() == h.BER_HEADER + "\n"

@@ -81,3 +81,73 @@ def test_one_module_calls_the_pocketfft_gufuncs():
     # that contract (kernel, factor, out= buffer) in one place
     users = [p.name for p in _modules() if _imports_pocketfft_gufuncs(p)]
     assert users == ["detectors.py"]
+
+
+ROOT = PKG.parents[1]
+
+
+def _names_read(tree):
+    """Every Name, Attribute and ImportFrom name in the tree. Definitions,
+    docstrings and other strings are not reads."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _readme_python():
+    """README's fenced python blocks, joined."""
+    text = (ROOT / "README.md").read_text()
+    return "\n".join(
+        part.split("```", 1)[0] for part in text.split("```python\n")[1:]
+    )
+
+
+def _public_names(path):
+    """The string entries of the module's __all__ assignment."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_only_reads_count_as_callers():
+    # a name that appears only in a docstring, a string or as a definition is
+    # not reached; a name, an attribute or a from-import of it is
+    source = '''
+"""module docstring naming in_docstring"""
+from pkg import imported
+def defined():
+    """in_function_docstring"""
+    return "in_string", read_name, obj.read_attr
+'''
+    read = _names_read(ast.parse(source))
+    assert {"imported", "read_name", "obj", "read_attr"} <= read
+    assert read.isdisjoint(
+        {"in_docstring", "in_function_docstring", "in_string", "defined"}
+    )
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is kept only for a sweep, the CLI, the benchmark or the
+    # documented example; a name that only tests or __init__ reach belongs
+    # in tests/oracles.py or nowhere
+    callers = [p for p in _modules() if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for path in callers:
+        read |= _names_read(ast.parse(path.read_text(), filename=str(path)))
+    read |= _names_read(ast.parse(_readme_python(), filename="README.md"))
+    unread = {
+        p.name: names
+        for p in _modules()
+        if (names := [n for n in _public_names(p) if n not in read])
+    }
+    assert unread == {}

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oddmsim import (
     DDGrid,
@@ -20,7 +18,6 @@ from oddmsim import (
     time_to_dd,
 )
 from oddmsim.channel import DDPath, DiscreteChannel
-from oddmsim.pilot import deserialize_estimate, serialize_estimate
 
 
 def _params(m=32, n=8, lmax=4):
@@ -224,36 +221,3 @@ class TestPowerAccounting:
             b[t] = perturb_channel(ch, sigma2, rng).taps[cell]
         assert abs(np.mean(a) - np.mean(b)) < 0.05 * np.sqrt(sigma2)
         assert abs(np.var(a) - np.var(b)) < 0.05 * sigma2
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        p = _params(m=16, n=8, lmax=3)
-        rng = np.random.default_rng(25)
-        taps = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        est = gains_from_estimate(taps, p)
-        back = deserialize_estimate(serialize_estimate(est), p)
-        assert np.abs(back.taps - est.taps).max() < 1e-15
-        assert np.abs(back.gains - est.gains).max() < 1e-9
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        m=st.integers(1, 24),
-        n=st.integers(2, 12),
-        l_max=st.integers(0, 5),
-        seed=st.integers(0, 2**16),
-    )
-    def test_round_trip_on_any_grid_shape(self, m, n, l_max, seed):
-        p = ModemParams(n_delay=m, n_doppler=n)
-        rng = np.random.default_rng(seed)
-        taps = rng.standard_normal((l_max + 1, n)) + 1j * rng.standard_normal((l_max + 1, n))
-        est = gains_from_estimate(taps, p)
-        back = deserialize_estimate(serialize_estimate(est), p)
-        assert np.array_equal(back.taps, est.taps)
-        assert np.array_equal(back.gains, est.gains)
-
-    def test_perfect_csi_view_has_no_taps(self):
-        p = _params()
-        est = EstimatedChannel.from_true(_single_path(p))
-        with pytest.raises(ValueError):
-            serialize_estimate(est)
