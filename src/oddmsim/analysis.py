@@ -20,6 +20,7 @@ no evaluator of its own: it is the MRC form with the dither (variance
 delta_d^2/3 per axis) as the only symbol error.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,13 +296,8 @@ def ser_union_bound(sinr_mean: float, constellation: Constellation) -> float:
     if sinr_mean < 0:
         raise ValueError("SINR must be non-negative")
     a = constellation.order
-    # imported here, not with the module: scipy.special takes about 0.2 s to
-    # import, and only the state evolution reaches this bound, so BER, SINR
-    # and estimation-statistics runs would pay it for nothing
-    from scipy.special import erfc
-
     arg = np.sqrt(sinr_mean * constellation.d_min**2 / (2.0 * constellation.power))
-    q_val = 0.5 * erfc(arg / np.sqrt(2.0))
+    q_val = 0.5 * math.erfc(arg / np.sqrt(2.0))
     return float(min((a - 1) * q_val, 1.0))
 
 

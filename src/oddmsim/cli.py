@@ -9,7 +9,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import PRESETS, SWEEP_MODES, load_config, run_sweep
+from .harness import PRESETS, SWEEP_MODES, check_sweep, load_config, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,9 +41,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, cfg)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        check_sweep(cfg, args.mode, cfg.detectors)
     except (ValueError, OSError) as exc:
-        # a bad or unreadable configuration: one usage and error line and
-        # exit code 2, before any output file is opened
+        # a bad, unreadable or, for this mode, unrunnable configuration: one
+        # usage and error line and exit code 2, before any output file is opened
         parser.error(str(exc))
     if not cfg.snr_db:
         print("configuration has an empty snr_db grid", file=sys.stderr)

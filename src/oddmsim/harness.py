@@ -9,6 +9,7 @@ detectors at one SNR point see the same channel/noise/data realizations.
 import contextlib
 import functools
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ __all__ = [
     "apply_config_text",
     "run_ber_point",
     "run_sweep",
+    "check_sweep",
     "SWEEP_MODES",
     "BER_HEADER",
     "SINR_HEADER",
@@ -100,6 +102,12 @@ class SimConfig:
             raise ValueError(f"unknown pilot mode {self.pilot_mode!r}")
         if self.pilot_mode != "perfect_csi" and self.snr_pilot_db is None:
             raise ValueError(f"pilot mode {self.pilot_mode!r} needs snr_pilot_db")
+        for snr in self.snr_db:
+            # +inf is the noiseless point; NaN and -inf have no noise variance
+            if math.isnan(snr) or snr == -math.inf:
+                raise ValueError(f"snr_db must be a number or inf, got {snr}")
+        if self.snr_pilot_db is not None and not math.isfinite(self.snr_pilot_db):
+            raise ValueError(f"snr_pilot_db must be finite, got {self.snr_pilot_db}")
         self.params  # a grid the channel profile does not fit fails here
         if 2 * self.k_max + 1 > self.n_doppler:
             # the Doppler taps -k_max..k_max must fit the N-wide Doppler axis,
@@ -370,7 +378,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     variances entering the closed forms are extracted from the simulation
     itself (mean-square error of the fed-back estimates).
     """
-    _check_sweep(cfg, "sinr", (kind,))
+    check_sweep(cfg, "sinr", (kind,))
     params = cfg.params
     const, sigma_z2 = cfg.link(snr_db)
     sigma_dg2 = cfg.sigma_dg2
@@ -515,13 +523,16 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
 # sweep driver
 
 
-def _check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
-    """Raise ValueError if sweep mode cannot run every detector in kinds.
+def check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
+    """Raise ValueError if mode is unknown or cannot run every detector in kinds.
 
-    run_sweep calls this for the whole detector list before it writes the
-    CSV header, so a bad sweep fails before its first row; sinr_point calls
-    it for its one detector.
+    The CLI calls this before it opens its output file and run_sweep before
+    it writes the CSV header, each for the whole detector list, so a bad
+    sweep fails before its first row; sinr_point calls it for its one
+    detector.
     """
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "sinr" and cfg.pilot_mode == "estimated":
         raise ValueError("sinr mode uses perfect_csi or synthetic pilot modes")
     if mode == "est-stats" and cfg.snr_pilot_db is None:
@@ -587,9 +598,7 @@ def run_sweep(cfg: SimConfig, mode: str = "ber", out=None) -> str:
     out, when given, is a writable text stream; rows are flushed as they are
     produced so long runs can be monitored.
     """
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    _check_sweep(cfg, mode, cfg.detectors)
+    check_sweep(cfg, mode, cfg.detectors)
     _, header, make_rows = SWEEP_MODES[mode]
     lines = []
     # closing shuts a BER sweep's worker pool down even if writing a row fails

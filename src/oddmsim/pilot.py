@@ -155,12 +155,12 @@ def gains_from_estimate(taps: np.ndarray, params: ModemParams) -> EstimatedChann
         raise ValueError("tap table Doppler width must equal n_doppler")
     mn = params.frame_len
     ks = _doppler_axis(params)
-    gains = np.empty((n_rows, mn), dtype=np.complex128)
-    for l in range(n_rows):
-        buf = np.zeros(mn, dtype=np.complex128)
-        # fold the (q - l) shift into the coefficients
-        buf[ks % mn] = taps[l] * np.exp(-2j * np.pi * ks * l / mn)
-        gains[l] = np.fft.ifft(buf) * mn
+    gains = np.zeros((n_rows, mn), dtype=np.complex128)
+    # fold each row's (q - l) shift into its coefficients
+    gains[:, ks % mn] = taps * np.exp(-2j * np.pi * ks * np.arange(n_rows)[:, None] / mn)
+    # in place, so no second (l_max+1, MN) array is alive
+    np.fft.ifft(gains, axis=1, out=gains)
+    gains *= mn
     return EstimatedChannel(gains, support=range(n_rows), params=params, taps=taps)
 
 

@@ -375,12 +375,22 @@ class TestSerAndEvolution:
         assert ser_union_bound(float("inf"), qam4) == 0.0
         assert ser_union_bound(0.0, qam4) == 1.0
 
-    def test_union_bound_reference_value(self, qam4):
-        # SINR = 2 P_t / d_min^2 makes the Q argument exactly 1, so the bound
-        # is 3*Q(1); the value is frozen from the complementary-error-function
-        # evaluation 3 * 0.5 * erfc(1/sqrt(2))
-        sinr = 2 * qam4.power / qam4.d_min**2
-        assert ser_union_bound(sinr, qam4) == pytest.approx(0.4759657617943712, rel=1e-9)
+    @pytest.mark.parametrize(
+        "x, expected, rel",
+        [
+            # frozen from the evaluation 3 * 0.5 * erfc(1/sqrt(2))
+            (1.0, 0.4759657617943712, 1e-9),
+            # the tail, against tabulated 3*Q(5) and 3*Q(10)
+            (5.0, 8.599547156375817e-07, 1e-12),
+            (10.0, 2.285955907248158e-23, 1e-12),
+        ],
+        ids=["3Q(1)", "3Q(5)", "3Q(10)"],
+    )
+    def test_union_bound_reference_value(self, qam4, x, expected, rel):
+        # SINR = x^2 * 2 P_t / d_min^2 makes the Q argument x, so the bound
+        # is 3*Q(x)
+        sinr = x**2 * 2 * qam4.power / qam4.d_min**2
+        assert ser_union_bound(sinr, qam4) == pytest.approx(expected, rel=rel)
 
     def test_evolution_noiseless_converges_to_zero(self, desk_channel, qam4):
         trace = state_evolution(desk_channel, 0.0, qam4, "mrc_hard", 1e-12)

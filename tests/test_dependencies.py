@@ -32,7 +32,7 @@ def _imported():
 
 
 def test_declared_dependencies_match_imports():
-    assert _imported() == {"numpy", "scipy"}
+    assert _imported() == {"numpy"}
     assert _declared() == _imported()
 
 

@@ -180,10 +180,18 @@ class TestConfigParsing:
             ("delta_d_ratio", 0.0, "delta_d_ratio"),
             ("n_doppler", 4, "k_max=3 .*n_doppler=4"),
             ("seed", -1, "seed"),
+            # a NaN SNR died in eigh after the header; a NaN pilot SNR
+            # printed a BER near 0.5
+            ("snr_db", (10.0, float("nan")), "snr_db"),
+            ("snr_db", (float("-inf"),), "snr_db"),
+            ("snr_pilot_db", float("nan"), "snr_pilot_db"),
+            ("snr_pilot_db", float("inf"), "snr_pilot_db"),
+            ("snr_pilot_db", float("-inf"), "snr_pilot_db"),
         ],
         ids=[
             "max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0",
-            "n4-kmax3", "seed-neg",
+            "n4-kmax3", "seed-neg", "snr-nan", "snr-neginf", "pilot-nan",
+            "pilot-inf", "pilot-neginf",
         ],
     )
     def test_bad_value_rejected_before_any_output(self, key, value, message):
@@ -383,23 +391,25 @@ class TestCli:
         assert captured.out.startswith(h.BER_HEADER)
 
     @pytest.mark.parametrize(
-        "cfg_text, extra, message",
+        "mode, cfg_text, extra, message",
         [
-            ("qam = 5\n", [], "constellation order 5"),
-            ("snr_db = 10\n", ["--seed", "-1"], "seed must be non-negative"),
-            (None, [], "No such file"),
+            ("ber", "qam = 5\n", [], "constellation order 5"),
+            ("ber", "snr_db = 10\n", ["--seed", "-1"], "seed must be non-negative"),
+            ("ber", None, [], "No such file"),
+            # a valid configuration the mode cannot run
+            ("sinr", "snr_db = 10\ndetector = mrc_sd\n", [], "sinr mode supports"),
         ],
-        ids=["bad-value", "negative-seed", "missing-config"],
+        ids=["bad-value", "negative-seed", "missing-config", "sinr-mrc_sd"],
     )
     def test_configuration_error_is_a_usage_error(
-        self, tmp_path, capsys, cfg_text, extra, message
+        self, tmp_path, capsys, mode, cfg_text, extra, message
     ):
         cfgfile = tmp_path / "run.cfg"
         if cfg_text is not None:
             cfgfile.write_text(cfg_text)
         outfile = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exc:
-            cli_main(["ber", "--config", str(cfgfile), "--out", str(outfile)] + extra)
+            cli_main([mode, "--config", str(cfgfile), "--out", str(outfile)] + extra)
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2
