@@ -73,7 +73,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .channel import band_columns
-from .modem import Constellation, TimeSequence
+from .modem import Constellation, DDGrid, TimeSequence, dd_to_time
 from .pilot import EstimatedChannel
 
 __all__ = [
@@ -147,8 +147,8 @@ class SymbolState:
     every feedback update; row_var holds one error variance per delay row
     (the DD->time variance transform is row-constant). energy[m, n] is the
     MRC energy sum_l |g_hat[l, q+l]|^2 of the symbol at q = nM + m; it
-    depends on the estimate alone, so it is built once per frame, never
-    written, and shared by copy().
+    depends on the estimate alone, so it is built once per frame and never
+    written.
 
     dirty marks the rows an ("mrc", "ml") sweep must re-equalize; decision,
     equalized and normalizer hold each row's outputs from its last
@@ -168,24 +168,6 @@ class SymbolState:
     decision: np.ndarray  # (M, N) alphabet indices
     equalized: np.ndarray  # (MN,) pre-slicing outputs
     normalizer: np.ndarray  # (MN,) signal-component multipliers
-    iteration: int = 0
-
-    def copy(self) -> "SymbolState":
-        return SymbolState(
-            r=self.r,
-            est=self.est,
-            shat=self.shat.copy(),
-            resid=self.resid.copy(),
-            row_var=self.row_var.copy(),
-            frozen_rows=self.frozen_rows.copy(),
-            power=self.power,
-            energy=self.energy,
-            dirty=self.dirty.copy(),
-            decision=self.decision.copy(),
-            equalized=self.equalized.copy(),
-            normalizer=self.normalizer.copy(),
-            iteration=self.iteration,
-        )
 
 
 @dataclass
@@ -656,7 +638,6 @@ def run_iteration(
         equalized_rows[:, m] = s_tilde
         normalizer_rows[:, m] = norm
 
-    state.iteration += 1
     frozen = state.frozen_rows
     decision_idx = state.decision.copy()
     decision_idx[frozen] = 0
@@ -683,9 +664,7 @@ def run_detector(
     *,
     sigma_z2: float = 0.0,
     known_rows: np.ndarray | None = None,
-    known_grid: np.ndarray | None = None,
-    truth: np.ndarray | None = None,
-    true_indices: np.ndarray | None = None,
+    sent: DDGrid | None = None,
     collect_equalized: bool = False,
 ) -> DetectionResult:
     """Detect one frame: run the detector's iteration plan, one run_iteration
@@ -698,12 +677,13 @@ def run_detector(
     and the remaining iterations' records, MSE and bit-error entries are
     copies of the last sweep's.
 
-    Pilot/guard rows, when declared via known_rows/known_grid, are pinned to
-    their transmitted values and excluded from estimation and from the bit
-    count. Passing the true time sequence and/or true alphabet indices
-    enables the per-iteration MSE (plus the starting state's MSE) and
-    bit-error traces; collect_equalized keeps each sweep's pre-slicing
-    outputs and normalizers in records.
+    sent, the transmitted grid, is what the frame is scored against. The
+    rows marked in known_rows (pilot and guard rows) are pinned to sent's
+    rows, so known_rows needs sent; they are excluded from estimation and
+    from the bit count. With sent the result carries the per-iteration
+    bit-error trace. collect_equalized keeps each sweep's pre-slicing outputs
+    and normalizers in records and, with sent, the per-iteration MSE of the
+    time-domain estimates plus the starting state's MSE.
     """
     params = est.params
     grid_shape = (params.n_delay, params.n_doppler)
@@ -711,14 +691,14 @@ def run_detector(
         raise ValueError("sequence and channel estimate sizes differ")
     if cfg.m_0 >= params.n_delay:
         raise ValueError("m_0 outside the delay axis")
-    if truth is not None and np.shape(truth) != (params.frame_len,):
+    if sent is None and known_rows is not None:
+        raise ValueError("known_rows needs sent, the transmitted grid")
+    if sent is not None and sent.entries.shape != grid_shape:
         raise ValueError(
-            f"truth has shape {np.shape(truth)}, not the frame's ({params.frame_len},)"
+            f"sent has shape {sent.entries.shape}, not the grid's {grid_shape}"
         )
-    if true_indices is not None and np.shape(true_indices) != grid_shape:
-        raise ValueError(
-            f"true_indices has shape {np.shape(true_indices)}, not the grid's {grid_shape}"
-        )
+    # before the frame's state exists, so the slicing temporaries add no peak
+    sent_idx = None if sent is None else constellation.nearest_index(sent.entries)
 
     state = init_estimates(
         seq,
@@ -727,7 +707,7 @@ def run_detector(
         sigma_z2,
         constellation.power,
         known_rows=known_rows,
-        known_grid=known_grid,
+        known_grid=None if sent is None else sent.entries,
     )
     frozen = state.frozen_rows
 
@@ -741,6 +721,8 @@ def run_detector(
         dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
             -delta, delta, shape
         )
+
+    truth = dd_to_time(sent).samples if sent is not None and collect_equalized else None
 
     def shat_mse():
         return float(np.mean(np.abs(state.shat - truth) ** 2))
@@ -783,19 +765,17 @@ def run_detector(
         mse += [mse[-1]] * skipped
 
     bit_trace = None
-    if true_indices is not None:
+    decision_idx = records[-1].decision_idx.copy()
+    if sent is not None:
         bit_trace = np.array(
             [
                 _count_bit_errors(
-                    constellation, rec.decision_idx[~frozen], true_indices[~frozen]
+                    constellation, rec.decision_idx[~frozen], sent_idx[~frozen]
                 )
                 for rec in records
             ]
         )
-
-    decision_idx = records[-1].decision_idx.copy()
-    if frozen.any():
-        decision_idx[frozen] = constellation.nearest_index(known_grid[frozen])
+        decision_idx[frozen] = sent_idx[frozen]
     return DetectionResult(
         index_grid=decision_idx,
         mse_trace=np.array(mse[1:]) if mse is not None else None,

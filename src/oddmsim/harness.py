@@ -307,11 +307,10 @@ def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_i
     ch = sample_channel(cfg.profile, params, rng)
     pcfg = _pilot_config(cfg, sigma_z2) if cfg.pilot_mode == "estimated" else None
     grid, _, received, est, n_bits = _transmit(cfg, ch, const, sigma_z2, rng, pcfg)
-    known_rows = known_grid = None
+    known_rows = None
     if pcfg is not None:
         known_rows = np.zeros(params.n_delay, dtype=bool)
         known_rows[pcfg.guard_rows(params)] = True
-        known_grid = grid.entries
 
     result = run_detector(
         received,
@@ -321,8 +320,7 @@ def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_i
         det_rng,
         sigma_z2=sigma_z2,
         known_rows=known_rows,
-        known_grid=known_grid,
-        true_indices=const.nearest_index(grid.entries),
+        sent=grid,
     )
     errors = int(result.bit_error_trace[-1])
     return errors, n_bits, errors > 0
@@ -395,7 +393,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     for t in range(cfg.sinr_frames):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         det_rng = _frame_rng(cfg, point_idx, t, _ROLE_DETECTOR)
-        _, seq, received, est, _ = _transmit(cfg, ch, const, sigma_z2, rng)
+        grid, seq, received, est, _ = _transmit(cfg, ch, const, sigma_z2, rng)
         res = run_detector(
             received,
             est,
@@ -403,7 +401,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
             const,
             det_rng,
             sigma_z2=sigma_z2,
-            truth=seq.samples,
+            sent=grid,
             collect_equalized=True,
         )
         init_mse_acc += res.mse_init
@@ -529,7 +527,9 @@ def check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
     The CLI calls this before it opens its output file and run_sweep before
     it writes the CSV header, each for the whole detector list, so a bad
     sweep fails before its first row; sinr_point calls it for its one
-    detector.
+    detector. The noiseless point snr_db = inf is rejected where a sweep
+    needs noise: to size the estimated pilot (ber, est-stats) or in the
+    soft-cancellation closed forms (sinr, evolve).
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -537,14 +537,23 @@ def check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
         raise ValueError("sinr mode uses perfect_csi or synthetic pilot modes")
     if mode == "est-stats" and cfg.snr_pilot_db is None:
         raise ValueError("est-stats mode needs snr_pilot_db")
+    noiseless = math.inf in cfg.snr_db
+    pilot_from_noise = mode == "est-stats" or (
+        mode == "ber" and cfg.pilot_mode == "estimated"
+    )
+    if noiseless and pilot_from_noise:
+        raise ValueError(f"{mode} mode sizes its pilot from the noise: no snr_db = inf")
     exact_csi = cfg.sigma_dg2 == 0.0
     for kind in kinds:
         if mode == "sinr" and kind not in _SINR_KINDS:
             raise ValueError(f"sinr mode supports {_SINR_KINDS}, not {kind!r}")
-        if mode == "sinr" and kind == "soft_sicmmse" and not exact_csi:
-            raise ValueError("soft-cancellation SINR analysis requires perfect CSI")
-        if mode == "evolve" and _EVOLVE_KIND[kind] == "soft" and not exact_csi:
-            raise ValueError("soft-cancellation evolution requires perfect CSI")
+        soft = mode in ("sinr", "evolve") and _EVOLVE_KIND[kind] == "soft"
+        if soft and not exact_csi:
+            raise ValueError(f"soft-cancellation {mode} analysis requires perfect CSI")
+        if soft and noiseless:
+            raise ValueError(
+                f"soft-cancellation {mode} analysis needs noise: no snr_db = inf"
+            )
 
 
 def _ber_rows(cfg: SimConfig):

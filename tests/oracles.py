@@ -8,15 +8,15 @@ directly as the paper states them, so tests can check the engine and the
 analysis against them. full_matrix (the dense channel matrix) and
 dd_reference_output (the closed-form DD-domain output) check the sample-wise
 channel application. run_every_sweep is run_detector without its fixed-point
-exit.
+exit, and copy_state lets a test run a sweep on a copy of an engine state.
 """
 
 import numpy as np
 
 from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
-from oddmsim.detectors import DetectionResult, init_estimates, run_iteration
-from oddmsim.modem import Constellation, DDGrid
+from oddmsim.detectors import DetectionResult, SymbolState, init_estimates, run_iteration
+from oddmsim.modem import Constellation, DDGrid, dd_to_time
 
 
 def time_gain(ch: DiscreteChannel, l: int, q: int) -> complex:
@@ -220,22 +220,43 @@ def lanes_in_sample_order(lanes) -> np.ndarray:
     return lanes.window[:, order][:, :, order]
 
 
+def copy_state(state: SymbolState) -> SymbolState:
+    """A copy a sweep can run on without touching state: every array a sweep
+    writes is copied; r, est and the read-only energy table are shared."""
+    return SymbolState(
+        r=state.r,
+        est=state.est,
+        shat=state.shat.copy(),
+        resid=state.resid.copy(),
+        row_var=state.row_var.copy(),
+        frozen_rows=state.frozen_rows.copy(),
+        power=state.power,
+        energy=state.energy,
+        dirty=state.dirty.copy(),
+        decision=state.decision.copy(),
+        equalized=state.equalized.copy(),
+        normalizer=state.normalizer.copy(),
+    )
+
+
 def run_every_sweep(
     seq,
     est,
     cfg,
     constellation,
-    rng,
+    rng=None,
     *,
-    sigma_z2,
-    truth,
-    true_indices,
+    sigma_z2=0.0,
     known_rows=None,
-    known_grid=None,
+    sent=None,
     collect_equalized=False,
 ) -> DetectionResult:
     """run_detector with no fixed-point exit: the same starting state and
-    dither grid, then one run_iteration sweep for every entry of the plan."""
+    dither grid, then one run_iteration sweep for every entry of the plan.
+
+    Like run_detector, it scores the frame against sent, the transmitted
+    grid: the bit-error trace whenever sent is given, the MSE trace only
+    with collect_equalized as well."""
     state = init_estimates(
         seq,
         est,
@@ -243,7 +264,7 @@ def run_every_sweep(
         sigma_z2,
         constellation.power,
         known_rows=known_rows,
-        known_grid=known_grid,
+        known_grid=None if sent is None else sent.entries,
     )
     plan = cfg.plan()
     dither = [None] * len(plan)
@@ -253,7 +274,14 @@ def run_every_sweep(
         dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
             -delta, delta, shape
         )
-    mse = [float(np.mean(np.abs(state.shat - truth) ** 2))]
+    truth = dd_to_time(sent).samples if sent is not None and collect_equalized else None
+    mse = []
+
+    def measure_mse():
+        if truth is not None:
+            mse.append(float(np.mean(np.abs(state.shat - truth) ** 2)))
+
+    measure_mse()
     records = []
     for (combine, slicer), d in zip(plan, dither):
         records.append(
@@ -268,21 +296,24 @@ def run_every_sweep(
                 collect=collect_equalized,
             )
         )
-        mse.append(float(np.mean(np.abs(state.shat - truth) ** 2)))
-    free = ~state.frozen_rows
-    labels = constellation.labels
-    sent_labels = labels[true_indices[free]]
-    bits = [
-        int(np.bitwise_count(labels[rec.decision_idx[free]] ^ sent_labels).sum())
-        for rec in records
-    ]
+        measure_mse()
     index_grid = records[-1].decision_idx.copy()
-    if not free.all():
-        index_grid[~free] = constellation.nearest_index(known_grid[~free])
+    bits = None
+    if sent is not None:
+        free = ~state.frozen_rows
+        labels = constellation.labels
+        sent_labels = labels[constellation.nearest_index(sent.entries[free])]
+        bits = np.array(
+            [
+                int(np.bitwise_count(labels[rec.decision_idx[free]] ^ sent_labels).sum())
+                for rec in records
+            ]
+        )
+        index_grid[~free] = constellation.nearest_index(sent.entries[~free])
     return DetectionResult(
         index_grid=index_grid,
-        mse_trace=np.array(mse[1:]),
-        mse_init=mse[0],
-        bit_error_trace=np.array(bits),
+        mse_trace=np.array(mse[1:]) if mse else None,
+        mse_init=mse[0] if mse else None,
+        bit_error_trace=bits,
         records=records if collect_equalized else [],
     )

@@ -21,6 +21,7 @@ from oddmsim.detectors import init_estimates, run_iteration
 from oddmsim.harness import _ROLE_DETECTOR, _ROLE_FRAME, _frame_rng
 
 from oracles import (
+    copy_state,
     dd_reference_output,
     full_matrix,
     mmse_combine,
@@ -134,7 +135,7 @@ def test_criterion_4_hard_mmse_equals_mrc_from_second_iteration():
         )
         state = init_estimates(received, est, "zeros", sz2, QAM4.power)
         run_iteration(state, "mmse", "ml", QAM4, sz2)
-        rec_mrc = run_iteration(state.copy(), "mrc", "ml", QAM4, sz2)
+        rec_mrc = run_iteration(copy_state(state), "mrc", "ml", QAM4, sz2)
         assert np.array_equal(hard.index_grid, rec_mrc.decision_idx)
         for q in rng.integers(0, params.frame_len, 5):
             branches = stack_branches(state, int(q))
@@ -222,7 +223,7 @@ def test_criterion_7_noiseless_correctness():
                 QAM4,
                 det_rng,
                 sigma_z2=0.0,
-                true_indices=QAM4.nearest_index(grid.entries),
+                sent=grid,
             )
             assert res.bit_error_trace[-1] == 0, (kind, f)
     print("[criterion 7] PASS zero errors for all five detectors")
@@ -489,7 +490,7 @@ def _iteration_ber(cfg, kind, snr_db, n_frames):
             const,
             det_rng,
             sigma_z2=sz2,
-            true_indices=const.nearest_index(grid.entries),
+            sent=grid,
         )
         errs += res.bit_error_trace
         bits += params.frame_len * 2

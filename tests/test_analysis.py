@@ -444,7 +444,8 @@ class TestMeasurement:
             DetectorConfig(kind="hard_sicmmse", n_ite=3),
             qam4,
             sigma_z2=sz2,
-            truth=seq.samples,
+            sent=grid,
+            collect_equalized=True,
         )
         # hard_sicmmse starts from all-zero estimates
         assert res.mse_init == float(np.mean(np.abs(seq.samples) ** 2))

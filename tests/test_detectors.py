@@ -37,6 +37,7 @@ from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_ch
 from oddmsim.modem import time_to_dd
 
 from oracles import (
+    copy_state,
     dd_posterior,
     dithered_ml_slice,
     full_matrix,
@@ -415,7 +416,7 @@ class TestEngine:
             qam4,
             np.random.default_rng(15),
             sigma_z2=0.0,
-            true_indices=qam4.nearest_index(grid.entries),
+            sent=grid,
         )
         assert res.bit_error_trace[-1] == 0
 
@@ -441,8 +442,7 @@ class TestEngine:
             rng,
             sigma_z2=sz2,
             known_rows=known_rows,
-            known_grid=grid.entries,
-            true_indices=qam4.nearest_index(grid.entries),
+            sent=grid,
         )
         assert res.bit_error_trace[-1] < 40
         # decisions on data rows are constellation points
@@ -491,34 +491,25 @@ class TestEngine:
             DetectorConfig(kind="mrc_sd", delta_d_ratio=2.0)  # bound d_min/2
 
     @pytest.mark.parametrize(
-        "name, bad",
+        "name, known_rows, sent_shape",
         [
-            ("truth", {"truth": np.zeros(1, dtype=complex)}),
-            ("true_indices", {"true_indices": np.zeros((16, 64), dtype=np.int64)}),
-            (
-                "known_rows",
-                {
-                    "known_rows": np.arange(16) < 3,
-                    "known_grid": np.zeros((64, 16), dtype=complex),
-                },
-            ),
-            ("known_grid", {"known_rows": np.arange(64) < 3}),
-            (
-                "known_grid",
-                {
-                    "known_rows": np.arange(64) < 3,
-                    "known_grid": np.zeros((64, 8), dtype=complex),
-                },
-            ),
+            ("known_rows", np.arange(16) < 3, (64, 16)),
+            ("sent", None, (64, 8)),
+            ("sent", None, (16, 64)),
+            ("sent", np.arange(64) < 3, None),
         ],
         # fixed ids, so that no case's id shifts when another case goes
-        ids=["truth-bad0", "true_indices-bad1", "known_rows-bad3", "known_grid-bad4",
-             "known_grid-bad5"],
+        ids=["known_rows-bad3", "sent-bad6", "sent-bad7", "sent-bad8"],
     )
     def test_oracle_inputs_must_match_the_frame(
-        self, name, bad, desk_channel, desk_perfect, qam4
+        self, name, known_rows, sent_shape, desk_perfect, qam4
     ):
-        _, seq = _frame(desk_channel.params, qam4, np.random.default_rng(28))
+        _, seq = _frame(desk_perfect.params, qam4, np.random.default_rng(28))
+        sent = None
+        if sent_shape is not None:
+            m_count, n = sent_shape
+            params = ModemParams(n_delay=m_count, n_doppler=n, max_delay=2)
+            sent = DDGrid(np.zeros(sent_shape), params)
         with pytest.raises(ValueError, match=name):
             run_detector(
                 seq,
@@ -526,7 +517,8 @@ class TestEngine:
                 DetectorConfig(kind="mrc", n_ite=1),
                 qam4,
                 sigma_z2=0.01,
-                **bad,
+                known_rows=known_rows,
+                sent=sent,
             )
 
     def test_mrc_sd_requires_rng(self, desk_channel, desk_perfect, qam4):
@@ -588,7 +580,7 @@ class TestRowWindows:
         sweeps = [("mrc", "ml"), ("mrc", "dither"), ("mmse", "posterior")]
         start = init_estimates(received, est, "freq_mmse", sz2)
         for m in (0, m_count - lm - 1, m_count - lm, m_count - 1):
-            state = start.copy()
+            state = copy_state(start)
             state.frozen_rows[:] = True
             state.frozen_rows[m] = False
             for combine, slicer in sweeps:
@@ -623,10 +615,10 @@ class TestRowWindows:
             run_iteration(state, "mrc", "ml", qam4, 0.01)
         assert np.array_equal(state.shat, shat)
         assert np.array_equal(state.resid, resid)
-        assert state.iteration == 0
         state.frozen_rows[m] = True
         run_iteration(state, "mrc", "ml", qam4, 0.01)
-        assert state.iteration == 1
+        # with the degenerate row frozen the sweep runs and moves the estimates
+        assert not np.array_equal(state.shat, shat)
 
     def test_taps_must_not_reach_past_the_delay_axis(self, qam4):
         p = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
@@ -732,7 +724,7 @@ class TestLaneWindows:
             DetectorConfig(kind, n_ite=3),
             qam4,
             sigma_z2=1e-20,
-            true_indices=qam4.nearest_index(grid.entries),
+            sent=grid,
         )
         assert res.bit_error_trace[-1] == 0
 
@@ -774,17 +766,20 @@ class TestDetectorTable:
     ):
         _, seq = _frame(desk_params, qam4, np.random.default_rng(23))
         state = init_estimates(seq, desk_perfect, "zeros", 0.1)
-        state.frozen_rows[:] = True
+        shat, resid = state.shat.copy(), state.resid.copy()
         with pytest.raises(ValueError, match="sweep"):
             run_iteration(state, combine, slicer, qam4, 0.1)
-        assert state.iteration == 0
+        assert np.array_equal(state.shat, shat)
+        assert np.array_equal(state.resid, resid)
 
     def test_dither_sweep_needs_dither_grid(self, desk_params, desk_perfect, qam4):
         _, seq = _frame(desk_params, qam4, np.random.default_rng(24))
         state = init_estimates(seq, desk_perfect, "zeros", 0.1)
+        shat, resid = state.shat.copy(), state.resid.copy()
         with pytest.raises(ValueError, match="dither"):
             run_iteration(state, "mrc", "dither", qam4, 0.1)
-        assert state.iteration == 0
+        assert np.array_equal(state.shat, shat)
+        assert np.array_equal(state.resid, resid)
 
 
 def _load_tracing():
@@ -892,7 +887,7 @@ class TestDirtyRowSchedule:
         state, dither, qam4, sz2 = _random_sweep_state(seed, frozen, init, estimated)
         # MRC sweeps after the plan make sure clean rows come up to be skipped
         for combine, slicer in steps + [("mrc", "ml")] * 4:
-            full = state.copy()
+            full = copy_state(state)
             kw = dict(m_0=m_0, dither=dither, collect=True)
             rec = run_iteration(state, combine, slicer, qam4, sz2, **kw)
             ref = _full_sweep(run_iteration)(full, combine, slicer, qam4, sz2, **kw)
@@ -960,8 +955,7 @@ class TestDirtyRowSchedule:
                 qam4,
                 np.random.default_rng(27),
                 sigma_z2=sz2,
-                truth=seq.samples,
-                true_indices=qam4.nearest_index(grid.entries),
+                sent=grid,
                 collect_equalized=True,
             )
 
@@ -1016,8 +1010,7 @@ class _Handed(Exception):
 
 
 def _harness_inputs(cfg, kind, snr_db, monkeypatch):
-    """What harness hands run_detector for frame 0 of a BER point, plus the
-    transmitted time sequence as the MSE reference."""
+    """What harness hands run_detector for frame 0 of a BER point."""
     handed = {}
 
     def capture(*args, **kwargs):
@@ -1028,22 +1021,13 @@ def _harness_inputs(cfg, kind, snr_db, monkeypatch):
         patch.setattr(harness, "run_detector", capture)
         with pytest.raises(_Handed):
             harness._ber_frame(cfg, kind, snr_db, 0, 0)
-    seq, est, det_cfg, const, rng = handed["args"]
-    kwargs = handed["kwargs"]
-    # estimated CSI pins the guard rows to the sent grid; under perfect CSI
-    # every cell is data and true_indices names the sent grid
-    sent = kwargs["known_grid"]
-    if sent is None:
-        sent = const.points[kwargs["true_indices"]]
-    kwargs["truth"] = dd_to_time(DDGrid(sent, cfg.params)).samples
-    return (seq, est, det_cfg, const, rng), kwargs
+    return handed["args"], handed["kwargs"]
 
 
-def _pin_every_row(cfg, args, kwargs):
+def _pin_every_row(cfg, kwargs):
     """Pin every row of a perfect-CSI frame from _harness_inputs to the sent
     grid: then no sweep changes anything."""
     kwargs["known_rows"] = np.ones(cfg.n_delay, dtype=bool)
-    kwargs["known_grid"] = args[3].points[kwargs["true_indices"]]
 
 
 class TestFixedPointExit:
@@ -1080,9 +1064,7 @@ class TestFixedPointExit:
         kwargs = dict(
             sigma_z2=sz2,
             known_rows=np.array(frozen),
-            known_grid=grid.entries,
-            truth=seq.samples,
-            true_indices=qam4.nearest_index(grid.entries),
+            sent=grid,
             collect_equalized=collect,
         )
         res = run_detector(*args, np.random.default_rng(seed), **kwargs)
@@ -1110,9 +1092,10 @@ class TestFixedPointExit:
         cfg = harness.desk_preset()
         args, kwargs = _harness_inputs(cfg, "soft_sicmmse", 20.0, monkeypatch)
         calls = _count_sweeps(monkeypatch)
-        res = run_detector(*args, **kwargs)
+        res = run_detector(*args, **kwargs, collect_equalized=True)
         assert 1 <= len(calls) < cfg.n_ite
-        assert len(res.bit_error_trace) == len(res.mse_trace) == cfg.n_ite
+        traces = (res.bit_error_trace, res.mse_trace, res.records)
+        assert [len(t) for t in traces] == [cfg.n_ite] * 3
 
     @pytest.mark.parametrize("all_frozen", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
@@ -1124,7 +1107,7 @@ class TestFixedPointExit:
         args, kwargs = _harness_inputs(cfg, kind, 20.0, monkeypatch)
         if all_frozen:
             # only the plan can keep the detector sweeping
-            _pin_every_row(cfg, args, kwargs)
+            _pin_every_row(cfg, kwargs)
         calls = _count_sweeps(monkeypatch)
         run_detector(*args, **kwargs)
         _, first, later = DETECTORS[kind]
@@ -1143,7 +1126,7 @@ class TestFixedPointExit:
     def test_any_bit_a_sweep_changes_keeps_it_sweeping(self, name, monkeypatch):
         cfg = harness.desk_preset(n_ite=6)
         args, kwargs = _harness_inputs(cfg, "soft_sicmmse", 20.0, monkeypatch)
-        _pin_every_row(cfg, args, kwargs)
+        _pin_every_row(cfg, kwargs)
 
         def change_one_bit(state):
             # the pinned rows' variances are 0.0, so this flips the sign of a

@@ -332,6 +332,24 @@ class TestOtherModes:
             h.run_sweep(cfg, mode, out=out)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [
+            ("ber", SYNTHETIC),
+            ("sinr", dict(detectors=("mrc", "hard_sicmmse"))),
+            ("evolve", dict(detectors=("mrc",))),
+        ],
+        ids=["ber-synthetic", "sinr-hard", "evolve-mrc"],
+    )
+    def test_noiseless_point_runs_where_no_noise_is_needed(self, mode, overrides):
+        cfg = _tiny_cfg(
+            snr_db=(float("inf"),), sinr_frames=2, n_ite=2, evolve_chans=1,
+            max_frames=8, **overrides,
+        )
+        lines = h.run_sweep(cfg, mode).strip().splitlines()
+        assert len(lines) > 1
+        assert all(ln.startswith("inf,") for ln in lines[1:])
+
     def test_evolve_rows_dedupe_kinds(self):
         cfg = _tiny_cfg(
             detectors=("mrc", "hard_sicmmse", "soft_sicmmse"),
@@ -398,8 +416,23 @@ class TestCli:
             ("ber", None, [], "No such file"),
             # a valid configuration the mode cannot run
             ("sinr", "snr_db = 10\ndetector = mrc_sd\n", [], "sinr mode supports"),
+            # the noiseless point where a sweep needs noise: a zero pilot gave
+            # a NaN estimate and a BER near 0.5, est-stats divided by zero, and
+            # the soft closed forms failed after the 10 dB rows
+            (
+                "ber",
+                "snr_db = inf\npilot_mode = estimated\nsnr_pilot_db = 40\n",
+                [],
+                "snr_db = inf",
+            ),
+            ("est-stats", "snr_db = inf\nsnr_pilot_db = 40\n", [], "snr_db = inf"),
+            ("sinr", "snr_db = 10, inf\ndetector = soft_sicmmse\n", [], "snr_db = inf"),
+            ("evolve", "snr_db = 10, inf\ndetector = soft_sicmmse\n", [], "snr_db = inf"),
         ],
-        ids=["bad-value", "negative-seed", "missing-config", "sinr-mrc_sd"],
+        ids=[
+            "bad-value", "negative-seed", "missing-config", "sinr-mrc_sd",
+            "ber-estimated-inf", "est-stats-inf", "sinr-soft-inf", "evolve-soft-inf",
+        ],
     )
     def test_configuration_error_is_a_usage_error(
         self, tmp_path, capsys, mode, cfg_text, extra, message
