@@ -7,14 +7,18 @@ delay row at a time; these functions do the same for one symbol, written as
 directly as the paper states them, so tests can check the engine and the
 analysis against them. full_matrix (the dense channel matrix) and
 dd_reference_output (the closed-form DD-domain output) check the sample-wise
-channel application. run_every_sweep is run_detector without its fixed-point
-exit, and copy_state lets a test run a sweep on a copy of an engine state.
+channel application. soft_spectrum_eigen is the soft SINR table by
+eigendecomposition, the reference for the analysis's Lanczos quadrature.
+run_every_sweep is run_detector without its fixed-point exit, and copy_state
+lets a test run a sweep on a copy of an engine state.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from oddmsim.analysis import ChannelMoments
-from oddmsim.channel import DiscreteChannel
+from oddmsim.channel import DiscreteChannel, spreading_stack, stack_covariance
 from oddmsim.detectors import DetectionResult, SymbolState, init_estimates, run_iteration
 from oddmsim.modem import Constellation, DDGrid, dd_to_time
 
@@ -129,6 +133,42 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
         mask_neg=(lm - taps) @ abs_own2,
         mask_pos=taps @ abs_own2,
     )
+
+
+_EIGEN_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class EigenSpectrum:
+    """Eigenvalues lam (clipped at zero) of every symbol's unit-variance
+    interferer Gram matrix W_q, and c2 = |U_q^H g_q|^2, the own vector's power
+    along each eigenvector, one row per symbol q."""
+
+    lam: np.ndarray
+    c2: np.ndarray
+
+    def sinr(self, off_var: float, sigma_z2: float, power: float = 1.0) -> np.ndarray:
+        """P g_q^H (sigma_z2 I + off_var W_q)^{-1} g_q as a sum of positive terms."""
+        return power * np.sum(self.c2 / (sigma_z2 + off_var * self.lam), axis=1)
+
+
+def soft_spectrum_eigen(ch: DiscreteChannel) -> EigenSpectrum:
+    """The soft SINR table by one eigendecomposition per symbol: the reference
+    for analysis.soft_spectrum's Lanczos quadrature, with the same sinr."""
+    table = ch.gain_table()
+    lm = ch.l_max
+    mn = ch.params.frame_len
+    v = np.ones(2 * lm + 1)
+    v[lm] = 0.0
+    lam = np.empty((mn, lm + 1))
+    c2 = np.empty((mn, lm + 1))
+    for start in range(0, mn, _EIGEN_CHUNK):  # a whole paper frame's stack is 200 MB
+        sel = np.arange(start, min(start + _EIGEN_CHUNK, mn))
+        stack = spreading_stack(table, sel)
+        lam_q, u = np.linalg.eigh(stack_covariance(stack, v, 0.0))
+        lam[sel] = np.maximum(lam_q, 0.0)
+        c2[sel] = np.abs(np.einsum("nji,nj->ni", np.conj(u), stack[:, :, lm])) ** 2
+    return EigenSpectrum(lam=lam, c2=c2)
 
 
 def stack_branches(state, q: int) -> np.ndarray:

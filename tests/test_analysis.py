@@ -340,7 +340,7 @@ def paper_channel():
 
 
 class TestSoftSpectrum:
-    """The eigen table gives the uniform-variance soft SINR without a solve."""
+    """The Lanczos table gives the uniform-variance soft SINR without a solve."""
 
     SZ2 = 10 ** (-1.4)
 
@@ -368,6 +368,41 @@ class TestSoftSpectrum:
         vals = [spectrum.sinr(v, self.SZ2) for v in (0.0, 1e-3, 0.05, 0.3, 1.0)]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert np.all(lo < hi)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_matches_eigen_oracle(self, scale, desk_channel, request):
+        ch = desk_channel if scale == "desk" else request.getfixturevalue("paper_channel")
+        spectrum, ref = soft_spectrum(ch), oracles.soft_spectrum_eigen(ch)
+        for v in (1.0, 0.3, 1e-3, 1e-7, 0.0):
+            np.testing.assert_allclose(
+                spectrum.sinr(v, self.SZ2), ref.sinr(v, self.SZ2), rtol=1e-12, err_msg=f"v={v}"
+            )
+
+    def test_breakdown_at_first_step(self):
+        # one path at delay 0: each interferer column has a single entry below
+        # the own vector's, so W_q g_q = 0 and Lanczos stops after one step
+        from oddmsim import DDPath, DiscreteChannel, ModemParams
+
+        p = ModemParams(n_delay=16, n_doppler=4, max_delay=3)
+        gain = 0.6 - 0.8j
+        ch = DiscreteChannel([DDPath(0, 1, gain)], l_max=3, k_max=1, params=p)
+        spectrum = soft_spectrum(ch)
+        assert np.all(spectrum.beta2 == 0.0)
+        for v in (1.0, 0.3, 1e-3, 0.0):
+            sinr = spectrum.sinr(v, self.SZ2, power=2.0)
+            np.testing.assert_allclose(sinr, 2.0 * abs(gain) ** 2 / self.SZ2, rtol=1e-14)
+
+    def test_evolution_rows_match_eigen_oracle(self, paper_channel, qam4, monkeypatch):
+        def rows():
+            t = state_evolution(paper_channel, 0.0, qam4, "soft", 10**-1.4)
+            return [
+                f"{10 * np.log10(s):.10g},{ser:.10g},{mse:.10g},{ber:.10g}"
+                for s, ser, mse, ber in zip(t.sinr_mean, t.ser, t.mse, t.ber)
+            ]
+
+        lanczos = rows()
+        monkeypatch.setattr(an, "soft_spectrum", oracles.soft_spectrum_eigen)
+        assert lanczos == rows()
 
 
 class TestSerAndEvolution:

@@ -349,6 +349,12 @@ class TestOtherModes:
         lines = h.run_sweep(cfg, mode).strip().splitlines()
         assert len(lines) > 1
         assert all(ln.startswith("inf,") for ln in lines[1:])
+        if mode == "evolve":
+            # once the modelled symbol error is 0 the MRC closed form divides
+            # a positive signal by a zero denominator: inf is the right limit
+            col = lines[0].split(",").index("sinr_db")
+            sinr_db = [ln.split(",")[col] for ln in lines[1:]]
+            assert sinr_db[0] != "inf" and sinr_db[-1] == "inf"
 
     def test_evolve_rows_dedupe_kinds(self):
         cfg = _tiny_cfg(
