@@ -9,14 +9,17 @@ error; with both symbol-error variances at zero it is the ideal-cancellation
 upper bound shared by all detectors. The soft-cancellation form holds only
 under perfect channel knowledge. With one error variance v on every
 interferer, its SINR at symbol q is P g_q^H (sigma_z2 I + v W_q)^{-1} g_q,
-W_q being the Gram matrix of q's interferer columns. soft_spectrum
-tridiagonalizes every W_q once per channel by Lanczos from g_q
-(channel.stack_covariance over channel.spreading_stack), after which each v
-costs one continued fraction per symbol, exact as a Gauss quadrature; the
-soft state evolution evaluates only this table. sinr_soft_profile, which the
-SINR sweep uses for its split current/previous variances, solves each filter
-against the same stack_covariance build; the detectors' soft MMSE rows form
-the same filter from sliding covariance windows. The dithered-MRC bound needs
+W_q being the Gram matrix of q's interferer columns. Every W_q is a
+principal window of the frame's unit-variance banded covariance G G^H, less
+g_q g_q^H; soft_spectrum fills that band per chunk of symbols by lag sums
+over the support taps and tridiagonalizes every window once per channel by
+Lanczos from g_q, after which each v costs one continued fraction per
+symbol, exact as a Gauss quadrature; the soft state evolution evaluates only
+this table. sinr_soft_profile, which the SINR sweep uses for its split
+current/previous variances (a pattern relative to each q, which one band
+cannot hold), solves each filter against channel.stack_covariance over
+channel.spreading_stack; the detectors' soft MMSE rows form the same filter
+from sliding covariance windows. The dithered-MRC bound needs
 no evaluator of its own: it is the MRC form with the dither (variance
 delta_d^2/3 per axis) as the only symbol error.
 """
@@ -168,11 +171,14 @@ class SoftSpectrum:
     W_q into the tridiagonal Jacobi matrix T_q with diagonal alpha_q and
     squared off-diagonal beta2_q, and g_q^H f(W_q) g_q = ||g_q||^2 e_1^T
     f(T_q) e_1 exactly (Gauss quadrature with as many nodes as W_q has
-    rows). The fields hold, for every q (rows):
+    rows). The fields hold, for every q:
 
-    alpha  = the diagonal of T_q, shape (MN, l_max+1)
-    beta2  = the squared off-diagonal of T_q, shape (MN, l_max)
-    energy = ||g_q||^2
+    alpha  = the diagonal of T_q, alpha[j, q], shape (l_max+1, MN)
+    beta2  = the squared off-diagonal of T_q, beta2[j, q], shape (l_max, MN)
+    energy = ||g_q||^2, shape (MN,)
+
+    Symbols run along the last axis, so each step of the continued fraction
+    reads contiguous rows.
     """
 
     alpha: np.ndarray
@@ -189,9 +195,9 @@ class SoftSpectrum:
         sigma_z2 I + v T_q, so none is below sigma_z2, which must be positive.
         """
         v = off_var
-        t = sigma_z2 + v * self.alpha[:, -1]
-        for j in range(self.beta2.shape[1] - 1, -1, -1):
-            t = sigma_z2 + v * self.alpha[:, j] - v * v * self.beta2[:, j] / t
+        t = sigma_z2 + v * self.alpha[-1]
+        for j in range(self.beta2.shape[0] - 1, -1, -1):
+            t = sigma_z2 + v * self.alpha[j] - v * v * self.beta2[j] / t
         return power * self.energy / t
 
 
@@ -200,10 +206,11 @@ def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
 
     With uniform interferer variance the soft SINR depends on the variance
     only through SoftSpectrum.sinr, so a state evolution reuses one table
-    across its iterations. Each chunk runs l_max+1 batched Lanczos steps
-    from the normalized own vector. Every new vector is orthogonalized
-    against all earlier ones in one classical Gram-Schmidt pass, not through
-    the three-term recurrence alone, whose loss of orthogonality moved
+    across its iterations. Each chunk of _CHUNK symbols takes its Grams from
+    _interferer_grams, then runs l_max+1 batched Lanczos steps from the
+    normalized own vector. Every new vector is orthogonalized against all
+    earlier ones in one classical Gram-Schmidt pass, not through the
+    three-term recurrence alone, whose loss of orthogonality moved
     paper-scale SINRs by up to 8e-10 relative. A breakdown (beta = 0, as
     when W_q g_q = 0) leaves the next vector zero, so every later alpha and
     beta is zero and the decoupled block they form adds nothing to the
@@ -213,18 +220,12 @@ def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
     lm = ch.l_max
     n = lm + 1
     mn = ch.params.frame_len
-    v = np.ones(2 * lm + 1)
-    v[lm] = 0.0
-    alpha = np.empty((mn, n))
-    beta2 = np.empty((mn, lm))
+    alpha = np.empty((n, mn))
+    beta2 = np.empty((lm, mn))
     energy = np.empty(mn)
     for start in range(0, mn, _CHUNK):
         stop = min(start + _CHUNK, mn)
-        stack = spreading_stack(table, np.arange(start, stop))
-        # a copy, not a view, so the stack is freed before the recurrence
-        g_own = stack[:, :, lm].copy()
-        gram = stack_covariance(stack, v, 0.0)
-        del stack
+        gram, g_own = _interferer_grams(table, ch.support, start, stop)
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)  # q_j = basis[:, j]
         e = np.vecdot(g_own, g_own).real
         energy[start:stop] = e
@@ -234,14 +235,67 @@ def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
             w = np.matmul(gram, basis[:, j, :, None])
             # q_k^H w for k <= j, conjugating w rather than a strided basis slice
             coef = np.conj(np.matmul(kept, np.conj(w)))
-            alpha[start:stop, j] = coef[:, j, 0].real
+            alpha[j, start:stop] = coef[:, j, 0].real
             if j == lm:
                 break
             w -= np.matmul(kept.transpose(0, 2, 1), coef)
             b2 = np.vecdot(w[:, :, 0], w[:, :, 0]).real
-            beta2[start:stop, j] = b2
+            beta2[j, start:stop] = b2
             np.multiply(w[:, :, 0], _inverse_norm(b2)[:, None], out=basis[:, j + 1])
     return SoftSpectrum(alpha=alpha, beta2=beta2, energy=energy)
+
+
+def _interferer_grams(table: np.ndarray, support, start: int, stop: int):
+    """Unit-variance interferer Grams W_q and own vectors g_q for q = start..stop-1.
+
+    Every W_q is the window R[q..q+l_max, q..q+l_max] of the banded
+    covariance R = G G^H of the whole frame at unit symbol variance, less
+    the own term g_q g_q^H. A band entry is a lag sum over the support taps,
+
+        R[t, t+dl] = sum_d g[d, t] conj(g[d+dl, t+dl])   (dl >= 0),
+
+    and R[t, t-dl] = conj(R[t-dl, t]). Tap rows off the support are exact
+    zeros, so skipping them drops only exact-zero terms. The band is filled
+    for the chunk's samples start .. stop+l_max-1 (mod MN), the windows are
+    a strided view of it, and g_q g_q^H is formed in a contiguous buffer and
+    subtracted from them in place. Returns gram, C-contiguous of shape
+    (stop-start, l_max+1, l_max+1), and g_own[i, l] = g[l, (q_i+l) mod MN].
+    """
+    lm, mn = table.shape[0] - 1, table.shape[1]
+    count = stop - start
+    width = 2 * lm + 1
+    rows = count + lm
+    # cols[:, k] holds the gains at sample start + k
+    cols = np.take(table, np.arange(start, stop + 2 * lm) % mn, axis=1)
+    conj_cols = np.conj(cols)
+    # band[k, l_max+dl] = R[start+k, start+k+dl]
+    band = np.zeros((rows, width), dtype=np.complex128)
+    for i, d in enumerate(support):
+        for e in support[i:]:
+            band[:, lm + e - d] += cols[d, :rows] * conj_cols[e, e - d : e - d + rows]
+    # row k < dl's entry at -dl lies before the chunk; no window reads it
+    for dl in range(1, lm + 1):
+        band[dl:, lm - dl] = np.conj(band[: rows - dl, lm + dl])
+    # win[i, a, b] = band[i+a, l_max+b-a] = R[q_i+a, q_i+b]
+    isz = band.itemsize
+    win = np.ndarray(
+        (count, lm + 1, lm + 1),
+        band.dtype,
+        buffer=band,
+        offset=lm * isz,
+        strides=(width * isz, (width - 1) * isz, isz),
+    )
+    # g_own[i, l] = cols[l, i+l]
+    g_own = np.ndarray(
+        (count, lm + 1),
+        cols.dtype,
+        buffer=cols,
+        strides=(isz, (cols.shape[1] + 1) * isz),
+    ).copy()
+    gram = np.empty((count, lm + 1, lm + 1), dtype=np.complex128)
+    np.multiply(g_own[:, :, None], np.conj(g_own)[:, None, :], out=gram)
+    np.subtract(win, gram, out=gram)
+    return gram, g_own
 
 
 def _inverse_norm(norm2: np.ndarray) -> np.ndarray:
@@ -381,8 +435,7 @@ def state_evolution(
             profile = sinr_mrc_profile(ch, errs, mom)
         else:
             profile = spectrum.sinr(var, sigma_z2, power)
-        with np.errstate(divide="ignore"):
-            sinr_mean = float(np.mean(profile))
+        sinr_mean = float(np.mean(profile))
         ser = ser_union_bound(sinr_mean, constellation)
         mse = min(constellation.d_min**2 * ser, power)
         ber = ser / bits

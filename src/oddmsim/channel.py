@@ -6,11 +6,12 @@ complex gain). The receive path applies the channel sample by sample; the
 dense channel matrix and the delay-Doppler-domain reference output it is
 checked against are test oracles in tests/oracles.py. The sub-channel around
 one symbol comes in a batched form (spreading_stack, with its covariance
-stack_covariance) that the analysis builds its filters and spectra from and
-the detector tests check against; its per-symbol form is
-tests/oracles.subchannel.
-The detectors' MMSE rows slide windows of the banded covariance instead,
-appending one column from band_columns per row.
+stack_covariance) that the analysis solves its split-variance soft filters
+against and the detector and analysis tests check against; its per-symbol
+form is tests/oracles.subchannel. The analysis's soft spectrum builds its
+unit-variance Grams from lag sums over the support taps instead, and the
+detectors' MMSE rows slide windows of the banded covariance, appending one
+column from band_columns per row.
 """
 
 from dataclasses import dataclass

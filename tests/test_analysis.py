@@ -392,6 +392,44 @@ class TestSoftSpectrum:
             sinr = spectrum.sinr(v, self.SZ2, power=2.0)
             np.testing.assert_allclose(sinr, 2.0 * abs(gain) ** 2 / self.SZ2, rtol=1e-14)
 
+    def test_chunk_size_does_not_change_results(self, desk_channel, monkeypatch):
+        ref = soft_spectrum(desk_channel)
+        for chunk in (1, 97, 4096):
+            monkeypatch.setattr(an, "_CHUNK", chunk)
+            got = soft_spectrum(desk_channel)
+            for name in ("alpha", "beta2", "energy"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (chunk, name)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_gram_windows_match_the_stack(self, scale, desk_channel, request, monkeypatch):
+        # every window soft_spectrum builds from the band, at chunk edges that
+        # align with nothing and through the last l_max symbols, whose samples
+        # wrap past MN, against the dense stack with the own column dropped
+        ch = desk_channel if scale == "desk" else request.getfixturevalue("paper_channel")
+        table, lm, mn = ch.gain_table(), ch.l_max, ch.params.frame_len
+        v = np.ones(2 * lm + 1)
+        v[lm] = 0.0
+        seen = []
+        build = an._interferer_grams
+
+        def checked(table_arg, support, start, stop):
+            gram, g_own = build(table_arg, support, start, stop)
+            stack = spreading_stack(table, np.arange(start, stop))
+            ref = stack_covariance(stack, v, 0.0)
+            assert gram.flags.c_contiguous
+            np.testing.assert_allclose(
+                gram, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=f"{start}:{stop}"
+            )
+            assert np.array_equal(g_own, stack[:, :, lm])
+            seen.append((start, stop))
+            return gram, g_own
+
+        monkeypatch.setattr(an, "_interferer_grams", checked)
+        monkeypatch.setattr(an, "_CHUNK", 97 if scale == "desk" else 1000)
+        soft_spectrum(ch)
+        assert seen[0][0] == 0 and seen[-1][1] == mn
+        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+
     def test_evolution_rows_match_eigen_oracle(self, paper_channel, qam4, monkeypatch):
         def rows():
             t = state_evolution(paper_channel, 0.0, qam4, "soft", 10**-1.4)

@@ -1,6 +1,8 @@
-"""The pair summary that tools/bench_pairs.py records in BENCH_trajectory.json."""
+"""The pair summary and the source digest that tools/bench_pairs.py records
+in BENCH_trajectory.json."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,31 @@ def test_a_change_that_fails_more_operations_records_no_summary():
     runs["change"][1]["failed"] = 1
     with pytest.raises(ValueError, match="failed"):
         bench_pairs.compare(runs, {"rate": "higher"})
+
+
+def _checkout(root):
+    pkg = root / "src" / "oddmsim"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "analysis.py").write_text("x = 1\n")
+    return pkg
+
+
+def test_src_digest_follows_module_names_and_contents(tmp_path):
+    pkg = _checkout(tmp_path)
+    digest = bench_pairs.src_digest(tmp_path)
+    (pkg / "analysis.py").write_text("x = 2\n")
+    changed = bench_pairs.src_digest(tmp_path)
+    assert changed != digest
+    (pkg / "analysis.py").rename(pkg / "analysis2.py")
+    assert bench_pairs.src_digest(tmp_path) not in (digest, changed)
+
+
+def test_src_digest_ignores_other_files_and_mtimes(tmp_path):
+    pkg = _checkout(tmp_path)
+    digest = bench_pairs.src_digest(tmp_path)
+    (pkg / "notes.txt").write_text("not code\n")
+    (pkg / "analysis.pyc").write_bytes(b"\0")
+    (tmp_path / "README.md").write_text("docs\n")
+    os.utime(pkg / "analysis.py", (1_000_000_000, 1_000_000_000))
+    assert bench_pairs.src_digest(tmp_path) == digest
