@@ -2,16 +2,18 @@
 stack.
 
 A channel realization is a set of on-grid paths (delay index, Doppler index,
-complex gain). The receive path applies the channel sample by sample; the
-dense channel matrix and the delay-Doppler-domain reference output it is
-checked against are test oracles in tests/oracles.py. The sub-channel around
-one symbol comes in a batched form (spreading_stack, with its covariance
-stack_covariance) that the analysis solves its split-variance soft filters
-against and the detector and analysis tests check against; its per-symbol
-form is tests/oracles.subchannel. The analysis's soft spectrum builds its
-unit-variance Grams from lag sums over the support taps instead, and the
-detectors' MMSE rows slide windows of the banded covariance, appending one
-column from band_columns per row.
+complex gain). Its l_max is the frame's ModemParams.max_delay, the one delay
+spread that also sizes the frame's cyclic extension and the pilot's guard
+band; a path delay past it is rejected. The receive path applies the channel
+sample by sample; the dense channel matrix and the delay-Doppler-domain
+reference output it is checked against are test oracles in tests/oracles.py.
+The sub-channel around one symbol comes in a batched form (spreading_stack,
+with its covariance stack_covariance) that the analysis solves its
+split-variance soft filters against and the detector and analysis tests
+check against; its per-symbol form is tests/oracles.subchannel. The
+analysis's soft spectrum builds its unit-variance Grams from lag sums over
+the support taps instead, and the detectors' MMSE rows slide windows of the
+banded covariance, appending one column from band_columns per row.
 """
 
 from dataclasses import dataclass
@@ -97,19 +99,24 @@ def eva_profile(k_max: int, max_tap: int | None = None) -> ChannelProfile:
 
 
 class DiscreteChannel:
-    """Immutable set of on-grid paths plus cached per-tap time-varying gains."""
+    """Immutable set of on-grid paths plus cached per-tap time-varying gains.
 
-    def __init__(self, paths: Sequence[DDPath], l_max: int, k_max: int, params: ModemParams):
-        if any(p.delay < 0 or p.delay > l_max for p in paths):
-            raise ValueError("path delay outside [0, l_max]")
-        if any(abs(p.doppler) > k_max for p in paths):
-            raise ValueError("path Doppler outside [-k_max, k_max]")
+    The frame's params.max_delay is the channel's l_max: it sizes the gain
+    table, the frame's cyclic extension and the pilot's guard band alike, so
+    every path delay must lie in [0, params.max_delay].
+    """
+
+    def __init__(self, paths: Sequence[DDPath], params: ModemParams):
+        if any(not 0 <= p.delay <= params.max_delay for p in paths):
+            raise ValueError(f"path delay outside [0, max_delay={params.max_delay}]")
         self.paths = tuple(paths)
-        self.l_max = int(l_max)
-        self.k_max = int(k_max)
         self.params = params
         self.support = tuple(sorted({p.delay for p in paths}))
         self._table = None
+
+    @property
+    def l_max(self) -> int:
+        return self.params.max_delay
 
     def gain_table(self) -> np.ndarray:
         """Dense (l_max+1, MN) table of g[l, q]; rows off the support are zero."""
@@ -132,7 +139,8 @@ def sample_channel(
 
     Gains are circularly-symmetric complex Gaussian with the profile's tap
     power; each path's Doppler index is round(k_max*cos(theta)) with theta
-    uniform, drawn independently per path.
+    uniform, drawn independently per path. The channel's l_max is
+    params.max_delay, so a profile with a tap past it raises.
     """
     n = len(profile.delays)
     gains = np.sqrt(np.array(profile.powers) / 2.0) * (
@@ -144,8 +152,7 @@ def sample_channel(
         DDPath(delay=d, doppler=int(k), gain=complex(g))
         for d, k, g in zip(profile.delays, dopplers, gains)
     ]
-    l_max = max(profile.max_delay, params.max_delay)
-    return DiscreteChannel(paths, l_max=l_max, k_max=profile.k_max, params=params)
+    return DiscreteChannel(paths, params)
 
 
 def apply_channel(

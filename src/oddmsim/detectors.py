@@ -261,9 +261,6 @@ def init_estimates(
         raise ValueError(f"unknown init mode {mode!r}")
     params = est.params
     m_count, n = params.n_delay, params.n_doppler
-    if est.l_max >= m_count:
-        # a row's window would reach some received sample through two taps
-        raise ValueError(f"l_max={est.l_max} must be below n_delay={m_count}")
     if known_rows is not None:
         if np.shape(known_rows) != (m_count,):
             raise ValueError(
@@ -489,7 +486,9 @@ class _LaneWindows:
         return np.einsum("nj,nj->n", np.conj(y), bs) / mu, mu
 
     def patch(self, var: float):
-        """Carry a change of row_var[m] from its value at filter() to var."""
+        """Set row_var[m] to var, carrying its change since filter() into the
+        windows."""
+        self.state.row_var[self.m] = var
         dv = var - self._v_own
         if dv != 0.0:
             gp = self._padded
@@ -507,6 +506,28 @@ def _combine_mmse(lanes, g, branches):
     s_tilde, mu = lanes.filter(g, branches)
     post_var = lanes.state.power * (1.0 - mu) / mu
     return s_tilde, mu, np.maximum(post_var, 0.0)
+
+
+def _slice(slicer, x, constellation, dither, post_var):
+    """(feedback, decision, variance) of one row's DD outputs x: what the row
+    cancels, the alphabet indices it is scored on, and the error variance an
+    MMSE sweep declares for it. 'ml' feeds back its decisions with variance
+    0 (hard cancellation); 'dither' decides Q(x + d) and feeds back Q(x + d)
+    - d; 'posterior' feeds back the posterior means, decides Q(x) and
+    declares the mean posterior variance."""
+    points = constellation.points
+    if slicer == "ml":
+        decision = constellation.nearest_index(x)
+        return points[decision], decision, 0.0
+    if slicer == "dither":
+        decision = constellation.nearest_index(x + dither)
+        return points[decision] - dither, decision, 0.0
+    n = x.shape[0]
+    # np.mean's arithmetic: one add.reduce, one division
+    means, pvars, decision = _posterior_batch(
+        x, np.add.reduce(post_var) / n, constellation
+    )
+    return means, decision, np.add.reduce(pvars) / n
 
 
 def run_iteration(
@@ -545,7 +566,6 @@ def run_iteration(
     gains, lm = est.gains, est.l_max
     m_count, n = est.params.n_delay, est.params.n_doppler
     mn = est.params.frame_len
-    pts = constellation.points
     skip_clean = (combine, slicer) == ("mrc", "ml")
     if not skip_clean:
         # covers the rows this sweep processes and every row they feed
@@ -556,7 +576,7 @@ def run_iteration(
     # Row m's window is gains[l, nM+m+l] and resid[nM+m+l] for l <= l_max,
     # n < N. For the first M - l_max rows no index wraps past the frame end,
     # so row m's window is element m of these zero-copy strided stacks.
-    n_inner = max(m_count - lm, 0)
+    n_inner = m_count - lm
     shape = (n_inner, lm + 1, n)
     isz = gains.itemsize  # gains and resid are both complex128
     gain_windows = np.ndarray(
@@ -592,30 +612,16 @@ def run_iteration(
 
         if combine == "mrc":
             s_tilde, norm = _combine_mrc(state, m, g, branches)
+            post_var = None
         else:
             lanes.advance(m)
             s_tilde, norm, post_var = _combine_mmse(lanes, g, branches)
 
         x_tilde = _pocketfft.fft(s_tilde, unit, out=spectrum)
-
-        if slicer == "ml":
-            decision = constellation.nearest_index(x_tilde)
-            feedback_dd = pts[decision]
-        elif slicer == "dither":
-            d = dither[m]
-            decision = constellation.nearest_index(x_tilde + d)
-            feedback_dd = pts[decision] - d
-        else:
-            # np.mean's arithmetic: one add.reduce, one division
-            var_dd = np.add.reduce(post_var) / n
-            feedback_dd, pvars, decision = _posterior_batch(x_tilde, var_dd, constellation)
-            state.row_var[m] = np.add.reduce(pvars) / n
-
-        if combine == "mmse":
-            if slicer != "posterior":
-                # hard-decision cancellation: row treated as perfectly cancelled
-                state.row_var[m] = 0.0
-            lanes.patch(state.row_var[m])
+        d = None if dither is None else dither[m]
+        feedback_dd, decision, var = _slice(slicer, x_tilde, constellation, d, post_var)
+        if lanes is not None:
+            lanes.patch(var)
 
         # feed the new estimates back: off-support gains are exact zeros, so
         # patching the whole window leaves the samples no tap reaches as they were

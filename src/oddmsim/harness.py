@@ -195,7 +195,8 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key=value format (comments with '#', blank lines ok)."""
+    """Parse the flat key=value format (comments with '#', blank lines ok);
+    a key may be set once."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -204,6 +205,8 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {ln}: key {key!r} is set twice")
         out[key] = value
     return out
 
@@ -269,7 +272,7 @@ def _pilot_config(cfg: SimConfig, sigma_z2: float) -> PilotConfig:
     """Embedded pilot sized for cfg.snr_pilot_db at noise variance sigma_z2."""
     params = cfg.params
     amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
-    return PilotConfig(amplitude=amp, max_delay=params.max_delay)
+    return PilotConfig(amplitude=amp)
 
 
 def _transmit(cfg: SimConfig, ch, const, sigma_z2: float, rng, pcfg=None):

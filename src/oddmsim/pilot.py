@@ -5,7 +5,10 @@ The pilot sits in the middle of the DD grid with full guard rows on the delay
 axis, wide enough that channel-spread pilot and data never overlap. The
 estimator reads the dense (l_max+1) x N block of responses around the pilot;
 no thresholding is applied, so the estimate matches the additive Gaussian
-error model used by the SINR analysis.
+error model used by the SINR analysis. l_max is the frame's
+ModemParams.max_delay throughout: the guard half-width, the read-off window
+and every estimate's tap table take it from the frame, and since the frame
+requires M > 2 max_delay, the guard band and the window always fit the grid.
 """
 
 from dataclasses import dataclass
@@ -29,10 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PilotConfig:
-    """Pilot amplitude and guard extent (half-width max_delay on the delay axis)."""
+    """Pilot amplitude; the guard band's half-width on the delay axis is the
+    frame's params.max_delay."""
 
     amplitude: complex
-    max_delay: int
 
     def m_pilot(self, params: ModemParams) -> int:
         return params.n_delay // 2
@@ -48,10 +51,7 @@ class PilotConfig:
     def guard_rows(self, params: ModemParams) -> np.ndarray:
         """Delay rows reserved for pilot plus guards (no data)."""
         mp = self.m_pilot(params)
-        lo, hi = mp - self.max_delay, mp + self.max_delay
-        if lo < 0 or hi >= params.n_delay:
-            raise ValueError("guard band does not fit the grid; need M > 2*l_max")
-        return np.arange(lo, hi + 1)
+        return np.arange(mp - params.max_delay, mp + params.max_delay + 1)
 
     def data_mask(self, params: ModemParams) -> np.ndarray:
         """Boolean (M, N) mask of cells that carry data symbols."""
@@ -60,7 +60,7 @@ class PilotConfig:
         return mask
 
     def data_cell_count(self, params: ModemParams) -> int:
-        return params.frame_len - params.n_doppler * (2 * self.max_delay + 1)
+        return params.frame_len - params.n_doppler * (2 * params.max_delay + 1)
 
 
 def pilot_amplitude_for_snr(
@@ -91,14 +91,14 @@ def embed_pilot(data: np.ndarray, cfg: PilotConfig, params: ModemParams) -> DDGr
 class EstimatedChannel:
     """Receiver-side channel knowledge: per-tap gains over the whole frame.
 
-    gains is a dense, C-contiguous (l_max+1, MN) table; support lists its
-    delay rows that may be nonzero (all rows for a pilot-based estimate, the
-    true sparse support under perfect CSI), and the rows off it must be zero.
-    The detectors read every row, so the zeros keep their sums exactly those
-    over the support. taps is the dense (l_max+1, N) DD tap table a pilot or
-    synthetic estimate was built from (None under perfect CSI); the
-    estimation-statistics sweep (harness.est_stats_point) reads it to measure
-    the DD-domain error.
+    gains is a dense, C-contiguous (l_max+1, MN) table, l_max the frame's
+    params.max_delay; support lists its delay rows that may be nonzero (all
+    rows for a pilot-based estimate, the true sparse support under perfect
+    CSI), and the rows off it must be zero. The detectors read every row, so
+    the zeros keep their sums exactly those over the support. taps is the
+    dense (l_max+1, N) DD tap table a pilot or synthetic estimate was built
+    from (None under perfect CSI); the estimation-statistics sweep
+    (harness.est_stats_point) reads it to measure the DD-domain error.
     """
 
     def __init__(
@@ -112,9 +112,12 @@ class EstimatedChannel:
         self.support = tuple(int(l) for l in support)
         self.params = params
         self.taps = taps
-        self.l_max = self.gains.shape[0] - 1
-        if self.gains.shape[1] != params.frame_len:
-            raise ValueError("gain table length does not match the frame")
+        self.l_max = params.max_delay
+        if self.gains.shape != (self.l_max + 1, params.frame_len):
+            raise ValueError(
+                f"gain table has shape {self.gains.shape}, not (max_delay+1, MN) = "
+                f"{(self.l_max + 1, params.frame_len)}"
+            )
         off_support = set(range(self.l_max + 1)) - set(self.support)
         if any(self.gains[l].any() for l in off_support):
             raise ValueError("gain table rows off the support must be zero")
@@ -173,9 +176,7 @@ def estimate_channel(grid: DDGrid, cfg: PilotConfig) -> EstimatedChannel:
     """
     params = grid.params
     mp, npil = cfg.m_pilot(params), cfg.n_pilot(params)
-    lm = cfg.max_delay
-    if mp + lm >= params.n_delay:
-        raise ValueError("read-off window exceeds the grid")
+    lm = params.max_delay
     ks = _doppler_axis(params)
     cols = (npil + ks) % params.n_doppler
     block = grid.entries[mp : mp + lm + 1][:, cols]

@@ -183,7 +183,7 @@ def test_criterion_6_estimation_error_law():
     params = DESK.params
     sz2 = 0.05
     amp = o.pilot_amplitude_for_snr(30.0, sz2, params)
-    pcfg = o.PilotConfig(amplitude=amp, max_delay=params.max_delay)
+    pcfg = o.PilotConfig(amplitude=amp)
     frame = o.embed_pilot(np.zeros(pcfg.data_cell_count(params)), pcfg, params)
     clean = o.dd_to_time(frame)
     rng = np.random.default_rng(105)
@@ -271,12 +271,7 @@ def test_criterion_9_tiny_instance_ml_gap():
     g1 = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     g2 = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     norm = np.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
-    ch = DiscreteChannel(
-        [DDPath(0, 0, g1 / norm), DDPath(1, -1, g2 / norm)],
-        l_max=1,
-        k_max=1,
-        params=params,
-    )
+    ch = DiscreteChannel([DDPath(0, 0, g1 / norm), DDPath(1, -1, g2 / norm)], params)
     dense = full_matrix(ch)
     # exhaustive candidate list over all 4^8 frames
     idx_all = np.arange(4**8)

@@ -385,7 +385,7 @@ class TestSoftSpectrum:
 
         p = ModemParams(n_delay=16, n_doppler=4, max_delay=3)
         gain = 0.6 - 0.8j
-        ch = DiscreteChannel([DDPath(0, 1, gain)], l_max=3, k_max=1, params=p)
+        ch = DiscreteChannel([DDPath(0, 1, gain)], p)
         spectrum = soft_spectrum(ch)
         assert np.all(spectrum.beta2 == 0.0)
         for v in (1.0, 0.3, 1e-3, 0.0):

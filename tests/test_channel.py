@@ -80,18 +80,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             ChannelProfile(delays=(), powers=(), k_max=0)
 
+    def test_profile_longer_than_the_frame_rejected(self):
+        # a tap at delay 19 used to widen the channel to l_max = 19 under a
+        # max_delay = 8 frame, whose pilot estimate then held 9 gain rows
+        p = ModemParams(n_delay=64, n_doppler=16, max_delay=8)
+        with pytest.raises(ValueError, match="max_delay=8"):
+            sample_channel(eva_profile(k_max=3), p, np.random.default_rng(0))
+
 
 class TestTimeGain:
     def test_single_zero_doppler_path_is_flat(self):
         p = _small_params()
-        ch = DiscreteChannel([DDPath(0, 0, 1.0)], l_max=3, k_max=2, params=p)
+        ch = DiscreteChannel([DDPath(0, 0, 1.0)], p)
         for q in (0, 7, 47):
             assert time_gain(ch, 0, q) == pytest.approx(1.0)
 
     def test_single_path_phase_ramp(self):
         # one path at delay 2, Doppler 3, frame of 24 samples
         p = ModemParams(n_delay=6, n_doppler=4, max_delay=2)
-        ch = DiscreteChannel([DDPath(2, 3, 1.0)], l_max=2, k_max=3, params=p)
+        ch = DiscreteChannel([DDPath(2, 3, 1.0)], p)
         for q in range(24):
             expected = np.exp(2j * np.pi * 3 * (q - 2) / 24)
             assert abs(time_gain(ch, 2, q) - expected) < 1e-14
@@ -128,7 +135,7 @@ class TestTimeGain:
 class TestApplyChannel:
     def test_identity_channel(self):
         p = _small_params()
-        ch = DiscreteChannel([DDPath(0, 0, 1.0)], l_max=3, k_max=0, params=p)
+        ch = DiscreteChannel([DDPath(0, 0, 1.0)], p)
         rng = np.random.default_rng(2)
         s = TimeSequence(rng.standard_normal(p.frame_len) * (1 + 0j), p)
         r = apply_channel(ch, s, 0.0)
@@ -146,7 +153,7 @@ class TestApplyChannel:
     def test_cyclic_wraparound(self):
         # an impulse at the last sample reaches r[l-1] through delay l
         p = _small_params()
-        ch = DiscreteChannel([DDPath(2, 0, 1.0)], l_max=3, k_max=0, params=p)
+        ch = DiscreteChannel([DDPath(2, 0, 1.0)], p)
         s = np.zeros(p.frame_len, dtype=complex)
         s[p.frame_len - 1] = 1.0
         r = apply_channel(ch, TimeSequence(s, p), 0.0).samples
@@ -273,7 +280,7 @@ class TestSpreadingStack:
 class TestDDReference:
     def test_identity_channel_passthrough(self):
         p = _small_params()
-        ch = DiscreteChannel([DDPath(0, 0, 1.0)], l_max=3, k_max=0, params=p)
+        ch = DiscreteChannel([DDPath(0, 0, 1.0)], p)
         rng = np.random.default_rng(10)
         x = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
         out = dd_reference_output(ch, DDGrid(x, p))
@@ -293,7 +300,7 @@ class TestDDReference:
         # the cyclic-prefix phase factor
         p = _small_params()
         k_p, l_p = 1, 2
-        ch = DiscreteChannel([DDPath(l_p, k_p, 1.0)], l_max=3, k_max=1, params=p)
+        ch = DiscreteChannel([DDPath(l_p, k_p, 1.0)], p)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
         out = dd_reference_output(ch, DDGrid(x, p)).entries

@@ -117,7 +117,7 @@ class TestInit:
 
     def test_freq_mmse_flat_channel_noiseless(self, qam4):
         p = ModemParams(n_delay=16, n_doppler=8, max_delay=2)
-        ch = DiscreteChannel([DDPath(0, 0, 1.0)], l_max=2, k_max=0, params=p)
+        ch = DiscreteChannel([DDPath(0, 0, 1.0)], p)
         rng = np.random.default_rng(1)
         _, seq = _frame(p, qam4, rng)
         state = init_estimates(seq, EstimatedChannel.from_true(ch), "freq_mmse", 0.0)
@@ -141,7 +141,7 @@ class TestInit:
         params = desk_channel.params
         rng = np.random.default_rng(29)
         sz2 = 0.02
-        pcfg = PilotConfig(amplitude=30.0, max_delay=params.max_delay)
+        pcfg = PilotConfig(amplitude=30.0)
         bits = rng.integers(0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol)
         grid = embed_pilot(qam4.map_bits(bits), pcfg, params)
         received = apply_channel(desk_channel, dd_to_time(grid), float(np.sqrt(sz2)), rng)
@@ -397,6 +397,30 @@ class TestSlicers:
             assert abs(mean - ref_mean) < 1e-12
             assert abs(pvar - ref_var) < 1e-12
 
+    @pytest.mark.parametrize("slicer", ["ml", "dither", "posterior"])
+    def test_slice_contract(self, qam4, slicer):
+        # feedback is what the row cancels, decision what it is scored on
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        bound = qam4.d_min / detectors.DITHER_RATIO
+        d = rng.uniform(-bound, bound, 16) + 1j * rng.uniform(-bound, bound, 16)
+        post_var = rng.uniform(0.0, 0.4, 16)
+        feedback, decision, var = detectors._slice(slicer, x, qam4, d, post_var)
+        points = qam4.points
+        if slicer == "dither":
+            np.testing.assert_array_equal(decision, qam4.nearest_index(x + d))
+            np.testing.assert_array_equal(feedback, points[decision] - d)
+        else:
+            np.testing.assert_array_equal(decision, qam4.nearest_index(x))
+        if slicer == "posterior":
+            means, pvars, _ = detectors._posterior_batch(x, np.mean(post_var), qam4)
+            np.testing.assert_array_equal(feedback, means)
+            assert var == np.mean(pvars) > 0.0
+        else:
+            assert var == 0.0
+        if slicer == "ml":
+            np.testing.assert_array_equal(feedback, points[decision])
+
 
 class TestEngine:
     @pytest.mark.parametrize(
@@ -424,7 +448,7 @@ class TestEngine:
         params = desk_channel.params
         rng = np.random.default_rng(19)
         sz2 = 0.02
-        pcfg = PilotConfig(amplitude=30.0, max_delay=params.max_delay)
+        pcfg = PilotConfig(amplitude=30.0)
         data_bits = rng.integers(
             0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol
         )
@@ -620,12 +644,16 @@ class TestRowWindows:
         # with the degenerate row frozen the sweep runs and moves the estimates
         assert not np.array_equal(state.shat, shat)
 
-    def test_taps_must_not_reach_past_the_delay_axis(self, qam4):
+    def test_taps_must_not_reach_past_the_delay_axis(self):
+        # a row's window would reach some received sample through two taps;
+        # the frame's max_delay < M/2 bounds every channel and estimate
         p = ModemParams(n_delay=8, n_doppler=4, max_delay=2)
-        ch = DiscreteChannel([DDPath(0, 0, 1.0), DDPath(8, 0, 0.5)], l_max=8, k_max=0, params=p)
-        _, seq = _frame(p, qam4, np.random.default_rng(31))
-        with pytest.raises(ValueError, match="l_max"):
-            init_estimates(seq, EstimatedChannel.from_true(ch), "zeros")
+        with pytest.raises(ValueError, match="max_delay=2"):
+            DiscreteChannel([DDPath(0, 0, 1.0), DDPath(8, 0, 0.5)], p)
+        gains = np.zeros((9, p.frame_len), dtype=np.complex128)
+        gains[0] = 1.0
+        with pytest.raises(ValueError, match="max_delay"):
+            EstimatedChannel(gains, support=(0,), params=p)
 
 
 @pytest.fixture(scope="module")
@@ -674,7 +702,7 @@ class TestLaneWindows:
         known = None
         if pilot:
             known = np.zeros(m_count, dtype=bool)
-            known[PilotConfig(1.0, lm).guard_rows(params)] = True
+            known[PilotConfig(1.0).guard_rows(params)] = True
         state = init_estimates(
             received, est, "zeros", sz2, known_rows=known, known_grid=grid.entries
         )

@@ -159,6 +159,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key=value"):
             h.apply_config_text(h.desk_preset(), "just words\n")
 
+    def test_key_set_twice_rejected(self):
+        # the last line used to win in silence: only 12 dB ran
+        with pytest.raises(ValueError, match="line 3: key 'snr_db' is set twice"):
+            h.apply_config_text(h.desk_preset(), "snr_db = 10\n# again\nsnr_db = 12\n")
+
     @pytest.mark.parametrize(
         "key",
         ["min_frame_errors", "chunk", "sinr_frames", "evolve_chans", "est_trials", "workers"],
@@ -420,6 +425,7 @@ class TestCli:
             ("ber", "qam = 5\n", [], "constellation order 5"),
             ("ber", "snr_db = 10\n", ["--seed", "-1"], "seed must be non-negative"),
             ("ber", None, [], "No such file"),
+            ("ber", "snr_db = 10\nsnr_db = 12\n", [], "line 2: key 'snr_db' is set twice"),
             # a valid configuration the mode cannot run
             ("sinr", "snr_db = 10\ndetector = mrc_sd\n", [], "sinr mode supports"),
             # the noiseless point where a sweep needs noise: a zero pilot gave
@@ -436,7 +442,7 @@ class TestCli:
             ("evolve", "snr_db = 10, inf\ndetector = soft_sicmmse\n", [], "snr_db = inf"),
         ],
         ids=[
-            "bad-value", "negative-seed", "missing-config", "sinr-mrc_sd",
+            "bad-value", "negative-seed", "missing-config", "key-twice", "sinr-mrc_sd",
             "ber-estimated-inf", "est-stats-inf", "sinr-soft-inf", "evolve-soft-inf",
         ],
     )

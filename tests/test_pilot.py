@@ -25,13 +25,13 @@ def _params(m=32, n=8, lmax=4):
 
 
 def _single_path(p, l=2, k=-3, h=0.7 - 0.2j):
-    return DiscreteChannel([DDPath(l, k, h)], l_max=p.max_delay, k_max=3, params=p)
+    return DiscreteChannel([DDPath(l, k, h)], p)
 
 
 class TestEmbed:
     def test_pilot_in_middle_and_guards_zero(self):
         p = _params()
-        cfg = PilotConfig(amplitude=5.0, max_delay=4)
+        cfg = PilotConfig(amplitude=5.0)
         data = np.ones(cfg.data_cell_count(p), dtype=complex)
         grid = embed_pilot(data, cfg, p).entries
         assert grid[16, 4] == 5.0
@@ -41,12 +41,12 @@ class TestEmbed:
 
     def test_data_cell_count(self):
         p = _params()
-        cfg = PilotConfig(amplitude=1.0, max_delay=4)
+        cfg = PilotConfig(amplitude=1.0)
         assert cfg.data_cell_count(p) == p.frame_len - p.n_doppler * 9
 
     def test_data_fills_row_major(self):
         p = _params(m=16, n=4, lmax=2)
-        cfg = PilotConfig(amplitude=9.0, max_delay=2)
+        cfg = PilotConfig(amplitude=9.0)
         data = np.arange(1, cfg.data_cell_count(p) + 1, dtype=complex)
         grid = embed_pilot(data, cfg, p).entries
         mask = cfg.data_mask(p)
@@ -54,7 +54,7 @@ class TestEmbed:
 
     def test_wrong_data_count(self):
         p = _params()
-        cfg = PilotConfig(amplitude=1.0, max_delay=4)
+        cfg = PilotConfig(amplitude=1.0)
         with pytest.raises(ValueError):
             embed_pilot(np.zeros(3), cfg, p)
 
@@ -62,7 +62,7 @@ class TestEmbed:
 class TestEstimate:
     def test_noiseless_single_path_recovery(self):
         p = _params()
-        cfg = PilotConfig(amplitude=8.0, max_delay=4)
+        cfg = PilotConfig(amplitude=8.0)
         ch = _single_path(p)
         frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
         received = time_to_dd(apply_channel(ch, dd_to_time(frame), 0.0))
@@ -77,7 +77,7 @@ class TestEstimate:
     def test_phase_divisor_convention(self):
         # read-off at Doppler offset k divides by x_pilot * exp(j*2*pi*m_p*k/(MN))
         p = ModemParams(n_delay=512, n_doppler=32, max_delay=4)
-        cfg = PilotConfig(amplitude=3.0, max_delay=4)
+        cfg = PilotConfig(amplitude=3.0)
         grid = np.zeros((512, 32), dtype=complex)
         mp, npi = 256, 16
         grid[mp + 1, npi + 1] = 1.0
@@ -89,7 +89,7 @@ class TestEstimate:
     def test_noisy_error_variance_law(self):
         # Var(dh) = sigma_z^2 / P_pilot_dd over the read window
         p = _params()
-        cfg = PilotConfig(amplitude=10.0, max_delay=4)
+        cfg = PilotConfig(amplitude=10.0)
         ch = _single_path(p)
         frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
         clean = dd_to_time(frame)
@@ -195,7 +195,7 @@ class TestPowerAccounting:
         p8 = _params(m=32, n=8, lmax=4)
         p16 = _params(m=32, n=16, lmax=4)
         amp = pilot_amplitude_for_snr(30.0, sz2, p8)
-        cfg = PilotConfig(amplitude=amp, max_delay=4)
+        cfg = PilotConfig(amplitude=amp)
         snr8 = cfg.dd_power / p8.n_doppler / sz2
         snr16 = cfg.dd_power / p16.n_doppler / sz2
         assert snr8 == pytest.approx(2 * snr16)
@@ -205,7 +205,7 @@ class TestPowerAccounting:
         # pilot-based estimation and the synthetic injector agree in mean and
         # per-entry variance
         p = _params(m=32, n=8, lmax=4)
-        cfg = PilotConfig(amplitude=12.0, max_delay=4)
+        cfg = PilotConfig(amplitude=12.0)
         ch = _single_path(p)
         frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
         clean = dd_to_time(frame)
