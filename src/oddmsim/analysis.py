@@ -16,12 +16,13 @@ over the support taps and tridiagonalizes every window once per channel by
 Lanczos from g_q, after which each v costs one continued fraction per
 symbol, exact as a Gauss quadrature; the soft state evolution evaluates only
 this table. sinr_soft_profile, which the SINR sweep uses for its split
-current/previous variances (a pattern relative to each q, which one band
-cannot hold), solves each filter against channel.stack_covariance over
-channel.spreading_stack; the detectors' soft MMSE rows form the same filter
-from sliding covariance windows. The dithered-MRC bound needs
-no evaluator of its own: it is the MRC form with the dither (variance
-delta_d^2/3 per axis) as the only symbol error.
+current/previous variances, takes the same W_q and g_q from the same lag
+sums, solves one filter per symbol against sigma_z2 I + v W_q + P g_q g_q^H,
+and splits the filter's gains on the interferers by their offset. The
+detectors' soft MMSE rows form the same filter from sliding covariance
+windows. The dithered-MRC bound needs no evaluator of its own: it is the MRC
+form with the dither (variance delta_d^2/3 per axis) as the only symbol
+error.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DiscreteChannel, spreading_stack, stack_covariance
+from .channel import DiscreteChannel
 from .modem import Constellation
 
 __all__ = [
@@ -248,6 +249,9 @@ def soft_spectrum(ch: DiscreteChannel) -> SoftSpectrum:
 def _interferer_grams(table: np.ndarray, support, start: int, stop: int):
     """Unit-variance interferer Grams W_q and own vectors g_q for q = start..stop-1.
 
+    soft_spectrum tridiagonalizes these W_q, and sinr_soft_profile solves its
+    filters against them; neither builds a sub-channel stack.
+
     Every W_q is the window R[q..q+l_max, q..q+l_max] of the banded
     covariance R = G G^H of the whole frame at unit symbol variance, less
     the own term g_q g_q^H. A band entry is a lag sum over the support taps,
@@ -358,7 +362,15 @@ def sinr_soft_profile(ch: DiscreteChannel, errs: ErrorState) -> np.ndarray:
     what soft_spectrum cannot express. With all three variances equal,
     soft_spectrum(ch).sinr gives the same values without a solve per symbol.
     Valid only under perfect channel knowledge and with noise: a nonzero
-    sigma_dg2 or a zero sigma_z2 is rejected.
+    sigma_dg2 or a zero sigma_z2 is rejected before anything is built.
+
+    Each chunk of _CHUNK symbols takes W_q and g_q from _interferer_grams and
+    solves (sigma_e2_prev W_q + P g_q g_q^H + sigma_z2 I) y = g_q, the filter
+    being w = conj(y). The symbol at offset j reaches window row a through
+    tap d = a - j, so the filter's gain on it is the sum of w[j+d] g[d, q+j+d]
+    over the support taps d with 0 <= j+d <= l_max. Offsets j < 0 are the
+    interferers already re-estimated, j > 0 the rest, and j = 0 is the own
+    symbol. No sub-channel stack is built.
     """
     if errs.sigma_dg2 != 0.0:
         raise ValueError("soft-cancellation SINR is only defined for exact CSI")
@@ -369,22 +381,30 @@ def sinr_soft_profile(ch: DiscreteChannel, errs: ErrorState) -> np.ndarray:
     table = ch.gain_table()
     lm = ch.l_max
     mn = ch.params.frame_len
-    v = np.full(2 * lm + 1, errs.sigma_e2_prev)
-    v[lm] = errs.power
+    diag = np.arange(lm + 1)
     out = np.empty(mn)
     for start in range(0, mn, _CHUNK):
-        sel = np.arange(start, min(start + _CHUNK, mn))
-        stack = spreading_stack(table, sel)
-        cov = stack_covariance(stack, v, errs.sigma_z2)
-        w = np.conj(np.linalg.solve(cov, stack[:, :, lm, None])[:, :, 0])
-        proj2 = np.abs(np.matmul(w[:, None, :], stack)[:, 0, :]) ** 2
+        stop = min(start + _CHUNK, mn)
+        gram, g_own = _interferer_grams(table, ch.support, start, stop)
+        cov = errs.sigma_e2_prev * gram
+        cov += errs.power * g_own[:, :, None] * np.conj(g_own)[:, None, :]
+        cov[:, diag, diag] += errs.sigma_z2
+        w = np.conj(np.linalg.solve(cov, g_own[:, :, None])[:, :, 0])
+        # proj[i, l_max+j] is the filter's gain on offset j; hank[d, i, a] =
+        # g[d, q_i+a], and window row a reaches offset a - d through tap d
+        cols = np.take(table, np.arange(start, stop + lm) % mn, axis=1)
+        hank = np.lib.stride_tricks.sliding_window_view(cols, lm + 1, axis=1)
+        proj = np.zeros((stop - start, 2 * lm + 1), dtype=np.complex128)
+        for d in ch.support:
+            proj[:, lm - d : 2 * lm + 1 - d] += w * hank[d]
+        proj2 = np.abs(proj) ** 2
         signal = errs.power * proj2[:, lm]
         ripn = (
             errs.sigma_z2 * np.einsum("nj,nj->n", w, np.conj(w)).real
             + errs.sigma_e2_cur * proj2[:, :lm].sum(axis=1)
             + errs.sigma_e2_prev * proj2[:, lm + 1 :].sum(axis=1)
         )
-        out[sel] = signal / ripn
+        out[start:stop] = signal / ripn
     return out
 
 

@@ -1,5 +1,5 @@
-"""Discrete doubly-selective channel: sampling, tap gains, and the sub-channel
-stack.
+"""Discrete doubly-selective channel: sampling, tap gains, and the band
+columns of the MMSE covariance.
 
 A channel realization is a set of on-grid paths (delay index, Doppler index,
 complex gain). Its l_max is the frame's ModemParams.max_delay, the one delay
@@ -7,13 +7,11 @@ spread that also sizes the frame's cyclic extension and the pilot's guard
 band; a path delay past it is rejected. The receive path applies the channel
 sample by sample; the dense channel matrix and the delay-Doppler-domain
 reference output it is checked against are test oracles in tests/oracles.py.
-The sub-channel around one symbol comes in a batched form (spreading_stack,
-with its covariance stack_covariance) that the analysis solves its
-split-variance soft filters against and the detector and analysis tests
-check against; its per-symbol form is tests/oracles.subchannel. The
-analysis's soft spectrum builds its unit-variance Grams from lag sums over
-the support taps instead, and the detectors' MMSE rows slide windows of the
-banded covariance, appending one column from band_columns per row.
+So is the sub-channel around a symbol, for one symbol and batched over many
+with its covariance. The package builds no sub-channel: the analysis fills
+its Grams by lag sums over the support taps, and the detectors' MMSE rows
+slide windows of the banded covariance, appending one column from
+band_columns per row.
 """
 
 from dataclasses import dataclass
@@ -30,8 +28,6 @@ __all__ = [
     "eva_profile",
     "sample_channel",
     "apply_channel",
-    "spreading_stack",
-    "stack_covariance",
     "band_columns",
 ]
 
@@ -182,52 +178,6 @@ def apply_channel(
             rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
         )
     return TimeSequence(r, seq.params)
-
-
-def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
-    """Sub-channel matrices for many time indices at once.
-
-    gains is an (l_max+1, MN) tap-gain table; the result is a C-contiguous
-    array of shape (len(q_idx), l_max+1, 2*l_max+1) with
-    stack[i, l, c] = gains[l-(c-l_max), (q_i+l) mod MN], zero where
-    l-(c-l_max) leaves 0..l_max. For a true channel, stack[i] equals
-    tests/oracles.subchannel(ch, q_i).
-    """
-    lm, mn = gains.shape[0] - 1, gains.shape[1]
-    rows, cols = lm + 1, 2 * lm + 1
-    q_idx = np.asarray(q_idx, dtype=np.int64)
-    stack = np.zeros((q_idx.size, rows, cols), dtype=np.complex128)
-    # Row l is nonzero only in columns l..l+l_max, where column l+k reads tap
-    # l_max-k. Stepping cols+1 elements per row walks that band, so band[i, l, k]
-    # is stack[i, l, l+k]; its last element, l = k = l_max, lies inside stack[i].
-    isz = stack.itemsize
-    band = np.ndarray(
-        (q_idx.size, rows, rows),
-        stack.dtype,
-        buffer=stack,
-        strides=(rows * cols * isz, (cols + 1) * isz, isz),
-    )
-    time_idx = (q_idx[:, None] + np.arange(rows)) % mn
-    band[...] = np.take(gains, (lm - np.arange(rows)) * mn + time_idx[:, :, None])
-    return stack
-
-
-def stack_covariance(stack: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:
-    """Covariances G diag(v) G^H + sigma_z2 I for every G = stack[i].
-
-    One batched matmul, through the identity G V G^H = conj(conj(G V) G^T)
-    for real v: conj(stack * v) times stack.transpose(0, 2, 1), conjugated in
-    place. For a C-contiguous stack (as spreading_stack builds it) the
-    transposed view is a BLAS operand as it stands, so no conjugated or
-    contiguous copy of the stack is made.
-    """
-    sv = stack * v
-    np.conj(sv, out=sv)
-    a = np.matmul(sv, stack.transpose(0, 2, 1))
-    np.conj(a, out=a)
-    diag = np.arange(stack.shape[1])
-    a[:, diag, diag] += sigma_z2
-    return a
 
 
 def band_columns(block: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:

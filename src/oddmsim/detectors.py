@@ -17,10 +17,10 @@ Doppler lane share all but one of its samples. So an MMSE sweep keeps one
 window per lane and slides it from row to row (_LaneWindows): one fresh band
 column in (channel.band_columns), a rank-1 patch when the slicer changes a
 row's variance, and one batched Cholesky factorization of the bordered
-windows per row. The analysis keeps building its filters from the
-sub-channel stack (channel.spreading_stack and channel.stack_covariance), and
-the tests check the windows against that stack and the per-symbol MMSE
-combiner.
+windows per row. The analysis takes its filters' Grams from lag sums over
+the support taps (analysis._interferer_grams), and the tests check the
+windows against the sub-channel stack of tests/oracles.py and the
+per-symbol MMSE combiner.
 
 Row m reads and patches one (l_max+1, N) window: the gains
 g_hat[l, nM+m+l] and the residual samples e[nM+m+l] for every tap l and

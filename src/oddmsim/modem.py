@@ -35,6 +35,8 @@ class ModemParams:
     max_delay: int = 0
 
     def __post_init__(self):
+        if self.max_delay < 0:
+            raise ValueError(f"max_delay must be non-negative, got {self.max_delay}")
         if self.n_delay <= 2 * self.max_delay:
             raise ValueError(
                 f"n_delay={self.n_delay} must exceed twice max_delay={self.max_delay}"

@@ -1,13 +1,18 @@
 """Per-symbol reference forms of the channel and of the detector engine's
-row operations, the dense channel oracles, and the engine's every-sweep loop.
+row operations, the sub-channel stack, the dense channel oracles, and the
+engine's every-sweep loop.
 
-The package builds tap-gain tables and sub-channel stacks for many symbols
-at once, and the engine in oddmsim.detectors equalizes and slices a whole
-delay row at a time; these functions do the same for one symbol, written as
-directly as the paper states them, so tests can check the engine and the
-analysis against them. full_matrix (the dense channel matrix) and
-dd_reference_output (the closed-form DD-domain output) check the sample-wise
-channel application. soft_spectrum_eigen is the soft SINR table by
+The package builds tap-gain tables for many symbols at once, fills its
+covariances by lag sums over the support taps, and the engine in
+oddmsim.detectors equalizes and slices a whole delay row at a time; these
+functions do the same for one symbol, written as directly as the paper
+states them, so tests can check the engine and the analysis against them.
+spreading_stack gathers the sub-channel matrices of many symbols, and
+stack_covariance multiplies them out: they are the reference for the
+detectors' sliding windows (_LaneWindows), the analysis's Grams
+(_interferer_grams) and its soft SINR. full_matrix (the dense channel
+matrix) and dd_reference_output (the closed-form DD-domain output) check the
+sample-wise channel application. soft_spectrum_eigen is the soft SINR table by
 eigendecomposition, the reference for the analysis's Lanczos quadrature.
 run_every_sweep is run_detector without its fixed-point exit, and copy_state
 lets a test run a sweep on a copy of an engine state.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oddmsim.analysis import ChannelMoments
-from oddmsim.channel import DiscreteChannel, spreading_stack, stack_covariance
+from oddmsim.channel import DiscreteChannel
 from oddmsim.detectors import DetectionResult, SymbolState, init_estimates, run_iteration
 from oddmsim.modem import Constellation, DDGrid, dd_to_time
 
@@ -52,6 +57,52 @@ def subchannel(ch: DiscreteChannel, q: int) -> np.ndarray:
             if (l - dl) in sup:
                 mat[l, c] = table[l - dl, (q + l) % mn]
     return mat
+
+
+def spreading_stack(gains: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
+    """Sub-channel matrices for many time indices at once.
+
+    gains is an (l_max+1, MN) tap-gain table; the result is a C-contiguous
+    array of shape (len(q_idx), l_max+1, 2*l_max+1) with
+    stack[i, l, c] = gains[l-(c-l_max), (q_i+l) mod MN], zero where
+    l-(c-l_max) leaves 0..l_max. For a true channel, stack[i] equals
+    tests/oracles.subchannel(ch, q_i).
+    """
+    lm, mn = gains.shape[0] - 1, gains.shape[1]
+    rows, cols = lm + 1, 2 * lm + 1
+    q_idx = np.asarray(q_idx, dtype=np.int64)
+    stack = np.zeros((q_idx.size, rows, cols), dtype=np.complex128)
+    # Row l is nonzero only in columns l..l+l_max, where column l+k reads tap
+    # l_max-k. Stepping cols+1 elements per row walks that band, so band[i, l, k]
+    # is stack[i, l, l+k]; its last element, l = k = l_max, lies inside stack[i].
+    isz = stack.itemsize
+    band = np.ndarray(
+        (q_idx.size, rows, rows),
+        stack.dtype,
+        buffer=stack,
+        strides=(rows * cols * isz, (cols + 1) * isz, isz),
+    )
+    time_idx = (q_idx[:, None] + np.arange(rows)) % mn
+    band[...] = np.take(gains, (lm - np.arange(rows)) * mn + time_idx[:, :, None])
+    return stack
+
+
+def stack_covariance(stack: np.ndarray, v: np.ndarray, sigma_z2: float) -> np.ndarray:
+    """Covariances G diag(v) G^H + sigma_z2 I for every G = stack[i].
+
+    One batched matmul, through the identity G V G^H = conj(conj(G V) G^T)
+    for real v: conj(stack * v) times stack.transpose(0, 2, 1), conjugated in
+    place. For a C-contiguous stack (as spreading_stack builds it) the
+    transposed view is a BLAS operand as it stands, so no conjugated or
+    contiguous copy of the stack is made.
+    """
+    sv = stack * v
+    np.conj(sv, out=sv)
+    a = np.matmul(sv, stack.transpose(0, 2, 1))
+    np.conj(a, out=a)
+    diag = np.arange(stack.shape[1])
+    a[:, diag, diag] += sigma_z2
+    return a
 
 
 # the dense oracle's largest frame, in samples

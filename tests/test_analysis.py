@@ -14,10 +14,8 @@ from oddmsim.analysis import (
     soft_spectrum,
     state_evolution,
 )
-from oddmsim.channel import spreading_stack, stack_covariance
-
 import oracles
-from oracles import subchannel
+from oracles import spreading_stack, stack_covariance, subchannel
 
 
 class TestAppendixMoments:
@@ -244,10 +242,10 @@ class TestSoftSinr:
             sinr_soft_profile(desk_channel, ErrorState(0.1, 0.1, 1e-3, 1.0, 0.05))
 
     def test_rejects_zero_noise_before_building_a_stack(self, desk_channel, monkeypatch):
-        def never(gains, q_idx):
-            raise AssertionError("a stack was built")
+        def never(table, support, start, stop):
+            raise AssertionError("a Gram was built")
 
-        monkeypatch.setattr(an, "spreading_stack", never)
+        monkeypatch.setattr(an, "_interferer_grams", never)
         with pytest.raises(ValueError, match="sigma_z2 > 0, got 0.0"):
             sinr_soft_profile(desk_channel, ErrorState(0.1, 0.1, 0.0, 1.0, 0.0))
 
@@ -269,15 +267,25 @@ class TestSoftSinr:
         )
         return errs.power * proj2[lm] / ripn
 
+    @pytest.mark.parametrize(
+        "errs",
+        [
+            ErrorState(0.3, 0.05, 0.0, 1.0, 10 ** (-1.4)),
+            # current error far above the previous one at high SNR: the
+            # filter nearly nulls its interferers, and the residual weighs
+            # those small, cancelling gains by the large current error
+            ErrorState(0.2, 1e-4, 0.0, 1.0, 1e-3),
+        ],
+        ids=["typical", "cur_over_prev"],
+    )
     @pytest.mark.parametrize("scale", ["desk", "paper"])
-    def test_matches_per_symbol_filter(self, scale, desk_channel, request):
+    def test_matches_per_symbol_filter(self, scale, errs, desk_channel, request):
         ch = desk_channel if scale == "desk" else request.getfixturevalue("paper_channel")
         mn = ch.params.frame_len
         if scale == "desk":
             q_idx = range(mn)
         else:  # the chunk edges
             q_idx = (0, an._CHUNK - 1, an._CHUNK, an._CHUNK + 1, 2047, 2048, mn - 1)
-        errs = ErrorState(0.3, 0.05, 0.0, 1.0, 10 ** (-1.4))
         profile = sinr_soft_profile(ch, errs)
         for q in q_idx:
             assert profile[q] == pytest.approx(self._per_symbol(ch, errs, q), rel=1e-12), q

@@ -1,6 +1,7 @@
-"""The pair summary and the source digest that tools/bench_pairs.py records
-in BENCH_trajectory.json."""
+"""The pair summary, the source digest and the session stamp that
+tools/bench_pairs.py records in BENCH_trajectory.json."""
 
+import datetime
 import importlib.util
 import os
 from pathlib import Path
@@ -84,3 +85,21 @@ def test_src_digest_ignores_other_files_and_mtimes(tmp_path):
     (tmp_path / "README.md").write_text("docs\n")
     os.utime(pkg / "analysis.py", (1_000_000_000, 1_000_000_000))
     assert bench_pairs.src_digest(tmp_path) == digest
+
+
+def test_session_reads_the_boot_id_and_stamps_utc_time(tmp_path):
+    boot = tmp_path / "boot_id"
+    boot.write_text("0f1e2d3c-4b5a-6978-8796-a5b4c3d2e1f0\n")
+    before = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+    stamp = bench_pairs.session(boot)
+    after = datetime.datetime.now(datetime.timezone.utc)
+    assert stamp["boot_id"] == "0f1e2d3c-4b5a-6978-8796-a5b4c3d2e1f0"
+    measured = datetime.datetime.fromisoformat(stamp["measured_at"])
+    assert measured.utcoffset() == datetime.timedelta(0)
+    assert before <= measured <= after
+
+
+def test_session_records_no_boot_id_when_the_file_cannot_be_read(tmp_path):
+    stamp = bench_pairs.session(tmp_path / "missing")
+    assert stamp["boot_id"] is None
+    assert set(stamp) == {"measured_at", "boot_id"}

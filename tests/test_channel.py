@@ -16,9 +16,15 @@ from oddmsim import (
     sample_channel,
     time_to_dd,
 )
-from oddmsim.channel import DiscreteChannel, spreading_stack
+from oddmsim.channel import DiscreteChannel
 
-from oracles import dd_reference_output, full_matrix, subchannel, time_gain
+from oracles import (
+    dd_reference_output,
+    full_matrix,
+    spreading_stack,
+    subchannel,
+    time_gain,
+)
 
 
 def _small_params():

@@ -5,8 +5,12 @@ lacking an API the package calls."""
 import ast
 import re
 import sys
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10; tomli is the package tomllib came from
+    import tomli as tomllib
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -29,7 +29,6 @@ from oddmsim.channel import (
     DDPath,
     DiscreteChannel,
     band_columns,
-    spreading_stack,
 )
 from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
 from oddmsim.modem import ModemParams, TimeSequence
@@ -46,6 +45,7 @@ from oracles import (
     mmse_combine,
     mrc_combine,
     run_every_sweep,
+    spreading_stack,
     stack_branches,
     time_gain,
 )

@@ -108,6 +108,12 @@ class TestTransforms:
         with pytest.raises(ValueError):
             ModemParams(n_delay=8, n_doppler=1)
 
+    def test_negative_max_delay_rejected(self):
+        # max_delay sizes the channel, the guard band and the pilot's data
+        # cells alike, so a negative one must fail here, not inside a pilot
+        with pytest.raises(ValueError, match="max_delay must be non-negative, got -1"):
+            ModemParams(n_delay=8, n_doppler=4, max_delay=-1)
+
 
 class TestConstellation:
     def test_qpsk_points_and_geometry(self):

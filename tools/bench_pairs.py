@@ -21,10 +21,14 @@ such a pair does not count as a win. One entry per invocation is appended to
 BENCH_trajectory.json at the root of the checkout, a JSON list. Its commit is
 HEAD when src/ and perfbench/ match HEAD, and null when they differ (dirty);
 base is HEAD either way. Key entries by src_digest, which names the code
-measured in both cases.
+measured in both cases. Each entry also names the session that measured it:
+measured_at, the UTC time it was written (ISO-8601), and boot_id, the host's
+Linux boot id (null where the host has none to read). A host's speed can
+drift between sessions, so compare rates only between entries of one session.
 """
 
 import argparse
+import datetime
 import hashlib
 import json
 import statistics
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = ROOT / "BENCH_trajectory.json"
+BOOT_ID = Path("/proc/sys/kernel/random/boot_id")
 
 
 def git(*args):
@@ -50,6 +55,18 @@ def src_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src" / "oddmsim").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
+
+
+def session(boot_id_path: Path = BOOT_ID) -> dict:
+    """When and on which boot of the host an entry is measured: measured_at
+    (UTC, ISO-8601) and boot_id, or None for boot_id when the file cannot be
+    read."""
+    try:
+        boot_id = boot_id_path.read_text().strip() or None
+    except OSError:
+        boot_id = None
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return {"measured_at": now.isoformat(timespec="seconds"), "boot_id": boot_id}
 
 
 def export(rev: str, dest: Path):
@@ -155,6 +172,7 @@ def main(argv=None):
         "commit": None if dirty else head,
         "base": head,
         "dirty": dirty,
+        **session(),
         "src_digest": src_digest(ROOT),
         "against": against,
         "against_src_digest": parent_digest,
