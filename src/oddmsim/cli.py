@@ -6,6 +6,7 @@ estimation error statistics). Output is CSV on stdout or at --out.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -42,19 +43,25 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         check_sweep(cfg, args.mode, cfg.detectors)
+        if not cfg.snr_db:
+            raise ValueError("configuration has an empty snr_db grid")
+        if not cfg.detectors and args.mode != "est-stats":
+            raise ValueError(f"{args.mode} mode needs at least one detector")
     except (ValueError, OSError) as exc:
         # a bad, unreadable or, for this mode, unrunnable configuration: one
         # usage and error line and exit code 2, before any output file is opened
         parser.error(str(exc))
-    if not cfg.snr_db:
-        print("configuration has an empty snr_db grid", file=sys.stderr)
-        return 2
 
     if args.out:
         with open(args.out, "w") as fh:
             run_sweep(cfg, args.mode, out=fh)
-    else:
+        return 0
+    try:
         run_sweep(cfg, args.mode, out=sys.stdout)
+    except BrokenPipeError:
+        # the reader left (| head): keep the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -55,10 +55,11 @@ in the plan is that same (combine, slicer) pair and slices without dither.
 A sweep's outputs and final state are a deterministic function of those
 three arrays (an ("mrc", "ml") sweep that changes nothing leaves every row
 clean, and a skipped row reports what processing it would give), so each
-remaining sweep would repeat the last one bit for bit; they are reported as
-copies of it, and every output keeps its n_ite entries. Dither grids are
-drawn for all n_ite sweeps before the first one, and a dither plan never
-stops early, so no random stream moves.
+remaining sweep would repeat the last one bit for bit. Every iteration is
+scored from the state, so the remaining ones repeat the last sweep's entries
+and every output keeps its n_ite entries. Dither grids are drawn for all
+n_ite sweeps before the first one, and a dither plan never stops early, so
+no random stream moves.
 
 Each row's forward and inverse unitary N-point DFTs call numpy's pocketfft
 gufuncs directly with np.fft's own 1/sqrt(N) factor, formed once per sweep:
@@ -66,7 +67,6 @@ the same kernel and factor give the same bits, without the Python np.fft runs
 per call, which at N = 32 is about a fifth of an MRC row's cost.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +152,9 @@ class SymbolState:
 
     dirty marks the rows an ("mrc", "ml") sweep must re-equalize; decision,
     equalized and normalizer hold each row's outputs from its last
-    processing, which a skipped row reports again. Code that changes shat or
-    resid between sweeps must mark the rows that read them dirty.
+    processing (a skipped row reports them again), and run_detector scores
+    them after every sweep. Code that changes shat or resid between sweeps
+    must mark the rows that read them dirty.
     """
 
     r: np.ndarray
@@ -172,11 +173,11 @@ class SymbolState:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration outputs collected by the engine."""
+    """One iteration's outputs, kept by run_detector under collect_equalized."""
 
     decision_idx: np.ndarray  # (M, N) alphabet indices
-    equalized: np.ndarray | None = None  # (MN,) pre-slicing outputs
-    normalizer: np.ndarray | None = None  # (MN,) signal-component multipliers
+    equalized: np.ndarray  # (MN,) pre-slicing outputs
+    normalizer: np.ndarray  # (MN,) signal-component multipliers
 
 
 @dataclass
@@ -538,17 +539,17 @@ def run_iteration(
     sigma_z2: float,
     m_0: int = 0,
     dither: np.ndarray | None = None,
-    collect: bool = False,
-) -> IterationRecord:
+) -> None:
     """One full sweep over the delay rows under the cancellation schedule.
 
     combine: 'mrc' | 'mmse'
     slicer : 'ml' | 'dither' | 'posterior'
 
     (combine, slicer) must be a sweep some kind in DETECTORS runs; 'dither'
-    needs the (M, N) dither grid of this sweep. An ('mrc', 'ml') sweep skips
-    the rows that are not dirty (see the module docstring); every other
-    sweep processes all non-frozen rows and leaves every row dirty.
+    needs the (M, N) dither grid of this sweep. Its outputs stay in the
+    state. An ('mrc', 'ml') sweep skips the rows that are not dirty (see the
+    module docstring); every other sweep processes all non-frozen rows and
+    leaves every row dirty.
 
     The skip trusts state.dirty. init_estimates builds the whole starting
     state, pinned rows included, with every row dirty, and run_detector
@@ -644,21 +645,21 @@ def run_iteration(
         equalized_rows[:, m] = s_tilde
         normalizer_rows[:, m] = norm
 
-    frozen = state.frozen_rows
-    decision_idx = state.decision.copy()
-    decision_idx[frozen] = 0
-    equalized = normalizer = None
-    if collect:
-        equalized = state.equalized.copy()
-        normalizer = state.normalizer.copy()
-        equalized.reshape(n, m_count)[:, frozen] = np.nan
-        normalizer.reshape(n, m_count)[:, frozen] = np.nan
-    return IterationRecord(decision_idx, equalized, normalizer)
 
-
-def _count_bit_errors(constellation, dec_idx, true_idx):
-    xor = constellation.labels[dec_idx] ^ constellation.labels[true_idx]
+def _bit_errors(constellation, decision, sent_idx, rows):
+    xor = constellation.labels[decision[rows]] ^ constellation.labels[sent_idx[rows]]
     return int(np.bitwise_count(xor).sum())
+
+
+def _record(state: SymbolState) -> IterationRecord:
+    """The state's outputs, copied, with decision 0 and NaN on frozen rows."""
+    frozen = state.frozen_rows
+    symbols = np.tile(frozen, state.decision.shape[1])  # q = nM + m is in row m
+    return IterationRecord(
+        np.where(frozen[:, None], 0, state.decision),
+        np.where(symbols, np.nan, state.equalized),
+        np.where(symbols, np.nan, state.normalizer),
+    )
 
 
 def run_detector(
@@ -680,15 +681,14 @@ def run_detector(
     bitwise unchanged, when every remaining sweep of the plan is the same
     (combine, slicer) pair and its slicer is not 'dither', no later sweep
     can change any output (see the module docstring): the sweeping stops,
-    and the remaining iterations' records, MSE and bit-error entries are
-    copies of the last sweep's.
+    and each remaining iteration is scored on the unchanged state.
 
     sent, the transmitted grid, is what the frame is scored against. The
     rows marked in known_rows (pilot and guard rows) are pinned to sent's
     rows, so known_rows needs sent; they are excluded from estimation and
     from the bit count. With sent the result carries the per-iteration
-    bit-error trace. collect_equalized keeps each sweep's pre-slicing outputs
-    and normalizers in records and, with sent, the per-iteration MSE of the
+    bit-error trace. Only collect_equalized builds records, copies of each
+    iteration's outputs, and, with sent, takes the per-iteration MSE of the
     time-domain estimates plus the starting state's MSE.
     """
     params = est.params
@@ -734,18 +734,20 @@ def run_detector(
         return float(np.mean(np.abs(state.shat - truth) ** 2))
 
     mse = [shat_mse()] if truth is not None else None
-    records = []
+    bits, records = [], []
     # sweeps write these in place; the snapshot holds the state a sweep
     # starts from, taken only where the exit may follow it
     watched = (state.shat, state.row_var, state.resid)
     snapshot = [np.empty_like(x) for x in watched]
+    fixed = False
     for i, (combine, slicer) in enumerate(plan):
-        rest = plan[i + 1 :]
-        may_stop = bool(rest) and slicer != "dither" and rest == [plan[i]] * len(rest)
-        if may_stop:
-            for buf, x in zip(snapshot, watched):
-                np.copyto(buf, x)
-        records.append(
+        if not fixed:
+            rest = plan[i + 1 :]
+            repeated = rest == [plan[i]] * len(rest)
+            may_stop = bool(rest) and slicer != "dither" and repeated
+            if may_stop:
+                for buf, x in zip(snapshot, watched):
+                    np.copyto(buf, x)
             run_iteration(
                 state,
                 combine,
@@ -754,38 +756,26 @@ def run_detector(
                 sigma_z2,
                 m_0=cfg.m_0,
                 dither=dither[i] if dither is not None else None,
-                collect=collect_equalized,
             )
-        )
+            # compared as raw bits: by value, -0.0 would equal 0.0
+            fixed = may_stop and all(
+                np.array_equal(buf.view(np.uint64), x.view(np.uint64))
+                for buf, x in zip(snapshot, watched)
+            )
+        if sent is not None:
+            bits.append(_bit_errors(constellation, state.decision, sent_idx, ~frozen))
+        if collect_equalized:
+            records.append(_record(state))
         if mse is not None:
             mse.append(shat_mse())
-        # compared as raw bits: by value, -0.0 would equal 0.0
-        if may_stop and all(
-            np.array_equal(buf.view(np.uint64), x.view(np.uint64))
-            for buf, x in zip(snapshot, watched)
-        ):
-            break
-    skipped = len(plan) - len(records)
-    records += [copy.deepcopy(records[-1]) for _ in range(skipped)]
-    if mse is not None:
-        mse += [mse[-1]] * skipped
 
-    bit_trace = None
-    decision_idx = records[-1].decision_idx.copy()
+    index_grid = state.decision.copy()
     if sent is not None:
-        bit_trace = np.array(
-            [
-                _count_bit_errors(
-                    constellation, rec.decision_idx[~frozen], sent_idx[~frozen]
-                )
-                for rec in records
-            ]
-        )
-        decision_idx[frozen] = sent_idx[frozen]
+        index_grid[frozen] = sent_idx[frozen]
     return DetectionResult(
-        index_grid=decision_idx,
+        index_grid=index_grid,
         mse_trace=np.array(mse[1:]) if mse is not None else None,
         mse_init=mse[0] if mse is not None else None,
-        bit_error_trace=bit_trace,
-        records=records if collect_equalized else [],
+        bit_error_trace=np.array(bits) if sent is not None else None,
+        records=records,
     )

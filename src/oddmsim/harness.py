@@ -118,7 +118,9 @@ class SimConfig:
         make_constellation(self.qam)
         if self.m_0 >= self.n_delay:
             raise ValueError(f"m0={self.m_0} must be below n_delay={self.n_delay}")
-        for kind in self.detectors:
+        for i, kind in enumerate(self.detectors):
+            if kind in self.detectors[:i]:
+                raise ValueError(f"detector {kind!r} is listed twice")
             self.detector_config(kind)
 
     @functools.cached_property

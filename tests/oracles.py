@@ -24,7 +24,13 @@ import numpy as np
 
 from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
-from oddmsim.detectors import DetectionResult, SymbolState, init_estimates, run_iteration
+from oddmsim.detectors import (
+    DetectionResult,
+    IterationRecord,
+    SymbolState,
+    init_estimates,
+    run_iteration,
+)
 from oddmsim.modem import Constellation, DDGrid, dd_to_time
 
 
@@ -347,7 +353,10 @@ def run_every_sweep(
 
     Like run_detector, it scores the frame against sent, the transmitted
     grid: the bit-error trace whenever sent is given, the MSE trace only
-    with collect_equalized as well."""
+    with collect_equalized as well. Its records are copies of the state's
+    outputs after each sweep, frozen rows set to decision 0 and NaN outputs,
+    made here rather than by the package, and its bit counts are taken from
+    those records."""
     state = init_estimates(
         seq,
         est,
@@ -374,19 +383,19 @@ def run_every_sweep(
 
     measure_mse()
     records = []
+    frozen = state.frozen_rows
+    n = state.decision.shape[1]
     for (combine, slicer), d in zip(plan, dither):
-        records.append(
-            run_iteration(
-                state,
-                combine,
-                slicer,
-                constellation,
-                sigma_z2,
-                m_0=cfg.m_0,
-                dither=d,
-                collect=collect_equalized,
-            )
+        run_iteration(
+            state, combine, slicer, constellation, sigma_z2, m_0=cfg.m_0, dither=d
         )
+        rec = IterationRecord(
+            state.decision.copy(), state.equalized.copy(), state.normalizer.copy()
+        )
+        rec.decision_idx[frozen] = 0
+        rec.equalized.reshape(n, -1)[:, frozen] = np.nan
+        rec.normalizer.reshape(n, -1)[:, frozen] = np.nan
+        records.append(rec)
         measure_mse()
     index_grid = records[-1].decision_idx.copy()
     bits = None

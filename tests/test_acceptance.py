@@ -135,8 +135,9 @@ def test_criterion_4_hard_mmse_equals_mrc_from_second_iteration():
         )
         state = init_estimates(received, est, "zeros", sz2, QAM4.power)
         run_iteration(state, "mmse", "ml", QAM4, sz2)
-        rec_mrc = run_iteration(copy_state(state), "mrc", "ml", QAM4, sz2)
-        assert np.array_equal(hard.index_grid, rec_mrc.decision_idx)
+        mrc_state = copy_state(state)
+        run_iteration(mrc_state, "mrc", "ml", QAM4, sz2)
+        assert np.array_equal(hard.index_grid, mrc_state.decision)
         for q in rng.integers(0, params.frame_len, 5):
             branches = stack_branches(state, int(q))
             ls = np.arange(est.l_max + 1)

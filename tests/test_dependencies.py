@@ -1,6 +1,7 @@
 """The runtime dependencies declared in pyproject.toml are exactly the
-third-party modules the package imports, and their floors admit no version
-lacking an API the package calls."""
+third-party modules the package imports, their floors admit no version
+lacking an API the package calls, and every Python source parses at the
+declared Python floor."""
 
 import ast
 import re
@@ -15,9 +16,13 @@ except ModuleNotFoundError:  # Python 3.10; tomli is the package tomllib came fr
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _requirements():
+def _project():
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)["project"]
+
+
+def _requirements():
+    return _project()["dependencies"]
 
 
 def _declared():
@@ -49,3 +54,21 @@ def test_numpy_floor_excludes_1x():
     (numpy,) = [d for d in _requirements() if d.lower().startswith("numpy")]
     floor = re.fullmatch(r"numpy\s*>=\s*(\d+)(\.\d+)*", numpy.strip())
     assert floor is not None and int(floor.group(1)) >= 2, numpy
+
+
+def test_sources_parse_at_the_python_floor():
+    # CI runs the floor too, but a syntax error there shows only when CI runs;
+    # ast checks the grammar of requires-python's version here (except*, say,
+    # is 3.11 syntax)
+    spec = _project()["requires-python"]
+    floor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec.strip())
+    assert floor is not None, spec
+    version = (int(floor.group(1)), int(floor.group(2)))
+    paths = [
+        path
+        for top in ("src", "tests", "tools", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -609,10 +609,8 @@ class TestRowWindows:
             state.frozen_rows[m] = False
             for combine, slicer in sweeps:
                 expected = _row_oracle(state, combine, m, sz2)
-                rec = run_iteration(
-                    state, combine, slicer, qam4, sz2, m_0=m_0, dither=dither, collect=True
-                )
-                got = rec.equalized.reshape(params.n_doppler, m_count)[:, m]
+                run_iteration(state, combine, slicer, qam4, sz2, m_0=m_0, dither=dither)
+                got = state.equalized.reshape(params.n_doppler, m_count)[:, m]
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
                     state.resid, _residual_oracle(state), rtol=0, atol=1e-12
@@ -916,14 +914,14 @@ class TestDirtyRowSchedule:
         # MRC sweeps after the plan make sure clean rows come up to be skipped
         for combine, slicer in steps + [("mrc", "ml")] * 4:
             full = copy_state(state)
-            kw = dict(m_0=m_0, dither=dither, collect=True)
-            rec = run_iteration(state, combine, slicer, qam4, sz2, **kw)
-            ref = _full_sweep(run_iteration)(full, combine, slicer, qam4, sz2, **kw)
+            kw = dict(m_0=m_0, dither=dither)
+            run_iteration(state, combine, slicer, qam4, sz2, **kw)
+            _full_sweep(run_iteration)(full, combine, slicer, qam4, sz2, **kw)
             assert np.array_equal(state.shat, full.shat)
             assert np.array_equal(state.resid, full.resid)
-            assert np.array_equal(rec.decision_idx, ref.decision_idx)
-            assert np.array_equal(rec.equalized, ref.equalized, equal_nan=True)
-            assert np.array_equal(rec.normalizer, ref.normalizer, equal_nan=True)
+            assert np.array_equal(state.decision, full.decision)
+            assert np.array_equal(state.equalized, full.equalized, equal_nan=True)
+            assert np.array_equal(state.normalizer, full.normalizer, equal_nan=True)
 
     def test_only_dirty_rows_are_equalized(
         self, monkeypatch, desk_channel, desk_perfect, qam4
@@ -1124,6 +1122,26 @@ class TestFixedPointExit:
         assert 1 <= len(calls) < cfg.n_ite
         traces = (res.bit_error_trace, res.mse_trace, res.records)
         assert [len(t) for t in traces] == [cfg.n_ite] * 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_records_are_built_only_when_collected(self, kind, monkeypatch):
+        # the 20 dB soft_sicmmse frame is the one that stops early above
+        cfg = harness.desk_preset()
+        args, kwargs = _harness_inputs(cfg, kind, 20.0, monkeypatch)
+        calls = _count_sweeps(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an IterationRecord built without collect_equalized")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(detectors, "IterationRecord", refuse)
+            res = run_detector(*args, **kwargs)
+        assert res.records == []
+        assert len(res.bit_error_trace) == cfg.n_ite
+        if kind == "soft_sicmmse":
+            assert len(calls) < cfg.n_ite
+        res = run_detector(*args, **kwargs, collect_equalized=True)
+        assert len({id(rec) for rec in res.records}) == cfg.n_ite
 
     @pytest.mark.parametrize("all_frozen", [False, True])
     @pytest.mark.parametrize("kind", KINDS)

@@ -2,7 +2,10 @@
 
 import dataclasses
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -403,12 +406,6 @@ class TestCli:
         assert lines[0] == h.BER_HEADER
         assert len(lines) == 2
 
-    def test_empty_grid_fails(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("detector = mrc\n")
-        rc = cli_main(["ber", "--config", str(cfgfile)])
-        assert rc == 2
-
     def test_stdout_output(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -440,10 +437,19 @@ class TestCli:
             ("est-stats", "snr_db = inf\nsnr_pilot_db = 40\n", [], "snr_db = inf"),
             ("sinr", "snr_db = 10, inf\ndetector = soft_sicmmse\n", [], "snr_db = inf"),
             ("evolve", "snr_db = 10, inf\ndetector = soft_sicmmse\n", [], "snr_db = inf"),
+            # an empty grid printed one bare line; an empty detector list
+            # wrote the header alone, and a repeated detector every row twice
+            ("ber", "detector = mrc\n", [], "empty snr_db"),
+            ("ber", "snr_db = 10\ndetector =\n", [], "ber mode needs at least one"),
+            ("sinr", "snr_db = 10\ndetector =\n", [], "sinr mode needs at least one"),
+            ("evolve", "snr_db = 10\ndetector =\n", [], "evolve mode needs at least"),
+            ("ber", "snr_db = 10\ndetector = mrc, mrc\n", [], "'mrc' is listed twice"),
         ],
         ids=[
             "bad-value", "negative-seed", "missing-config", "key-twice", "sinr-mrc_sd",
             "ber-estimated-inf", "est-stats-inf", "sinr-soft-inf", "evolve-soft-inf",
+            "empty-snr_db", "ber-no-detector", "sinr-no-detector", "evolve-no-detector",
+            "detector-twice",
         ],
     )
     def test_configuration_error_is_a_usage_error(
@@ -476,3 +482,23 @@ class TestCli:
         with pytest.raises(ValueError, match="mid-sweep"):
             cli_main(["ber", "--config", str(cfgfile), "--out", str(outfile)])
         assert outfile.read_text() == h.BER_HEADER + "\n"
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        # `oddmsim ber | head -1`: the reader leaves after the header
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "snr_db = 6, 7, 8, 9, 10, 11\ndetector = mrc\nmin_frame_errors = 1\n"
+            "max_frames = 8\nn_ite = 2\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        command = [sys.executable, "-m", "oddmsim.cli", "ber", "--config", str(cfgfile)]
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        ) as proc:
+            assert proc.stdout.readline() == h.BER_HEADER + "\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode != 0
+        assert "Traceback" not in err and "Exception ignored" not in err, err
