@@ -56,8 +56,9 @@ A sweep's outputs and final state are a deterministic function of those
 three arrays (an ("mrc", "ml") sweep that changes nothing leaves every row
 clean, and a skipped row reports what processing it would give), so each
 remaining sweep would repeat the last one bit for bit. Every iteration is
-scored from the state, so the remaining ones repeat the last sweep's entries
-and every output keeps its n_ite entries. Dither grids are drawn for all
+scored against the transmitted grid from the state, and handed to the
+caller's observer, so the remaining ones repeat the last sweep's entries and
+the bit-error trace keeps its n_ite entries. Dither grids are drawn for all
 n_ite sweeps before the first one, and a dither plan never stops early, so
 no random stream moves.
 
@@ -67,13 +68,13 @@ the same kernel and factor give the same bits, without the Python np.fft runs
 per call, which at N = 32 is about a fifth of an MRC row's cost.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .channel import band_columns
-from .modem import Constellation, DDGrid, TimeSequence, dd_to_time
+from .modem import Constellation, DDGrid, TimeSequence
 from .pilot import EstimatedChannel
 
 __all__ = [
@@ -152,9 +153,10 @@ class SymbolState:
 
     dirty marks the rows an ("mrc", "ml") sweep must re-equalize; decision,
     equalized and normalizer hold each row's outputs from its last
-    processing (a skipped row reports them again), and run_detector scores
-    them after every sweep. Code that changes shat or resid between sweeps
-    must mark the rows that read them dirty.
+    processing (a skipped row reports them again; a frozen row keeps
+    decision 0 and NaN outputs), and run_detector scores them after every
+    sweep. Code that changes shat or resid between sweeps must mark the rows
+    that read them dirty.
     """
 
     r: np.ndarray
@@ -172,23 +174,12 @@ class SymbolState:
 
 
 @dataclass
-class IterationRecord:
-    """One iteration's outputs, kept by run_detector under collect_equalized."""
-
-    decision_idx: np.ndarray  # (M, N) alphabet indices
-    equalized: np.ndarray  # (MN,) pre-slicing outputs
-    normalizer: np.ndarray  # (MN,) signal-component multipliers
-
-
-@dataclass
 class DetectionResult:
-    """Hard decisions (alphabet indices) plus optional per-iteration traces."""
+    """A frame's hard decisions (alphabet indices, pinned rows at their sent
+    values) and its bit errors against the sent grid after each iteration."""
 
-    index_grid: np.ndarray
-    mse_trace: np.ndarray | None = None
-    mse_init: float | None = None  # MSE of the state the first sweep starts from
-    bit_error_trace: np.ndarray | None = None
-    records: list = field(default_factory=list)
+    index_grid: np.ndarray  # (M, N)
+    bit_error_trace: np.ndarray  # (n_ite,)
 
 
 def _residual_from_scratch(r, est, shat):
@@ -651,17 +642,6 @@ def _bit_errors(constellation, decision, sent_idx, rows):
     return int(np.bitwise_count(xor).sum())
 
 
-def _record(state: SymbolState) -> IterationRecord:
-    """The state's outputs, copied, with decision 0 and NaN on frozen rows."""
-    frozen = state.frozen_rows
-    symbols = np.tile(frozen, state.decision.shape[1])  # q = nM + m is in row m
-    return IterationRecord(
-        np.where(frozen[:, None], 0, state.decision),
-        np.where(symbols, np.nan, state.equalized),
-        np.where(symbols, np.nan, state.normalizer),
-    )
-
-
 def run_detector(
     seq: TimeSequence,
     est: EstimatedChannel,
@@ -669,10 +649,10 @@ def run_detector(
     constellation: Constellation,
     rng: np.random.Generator | None = None,
     *,
+    sent: DDGrid,
     sigma_z2: float = 0.0,
     known_rows: np.ndarray | None = None,
-    sent: DDGrid | None = None,
-    collect_equalized: bool = False,
+    observe=None,
 ) -> DetectionResult:
     """Detect one frame: run the detector's iteration plan, one run_iteration
     sweep per iteration, up to an exact fixed point.
@@ -683,13 +663,13 @@ def run_detector(
     can change any output (see the module docstring): the sweeping stops,
     and each remaining iteration is scored on the unchanged state.
 
-    sent, the transmitted grid, is what the frame is scored against. The
-    rows marked in known_rows (pilot and guard rows) are pinned to sent's
-    rows, so known_rows needs sent; they are excluded from estimation and
-    from the bit count. With sent the result carries the per-iteration
-    bit-error trace. Only collect_equalized builds records, copies of each
-    iteration's outputs, and, with sent, takes the per-iteration MSE of the
-    time-domain estimates plus the starting state's MSE.
+    sent, the transmitted grid, is what the frame is scored against: the
+    result carries the bit errors of every iteration on the rows not marked
+    in known_rows. Those rows (pilot and guard rows) are pinned to sent's
+    rows and excluded from estimation. observe, when given, is called as
+    observe(i, state) with the starting state (i = 0) and after each
+    iteration i = 1..n_ite, those after the stop included; it must not write
+    to the state.
     """
     params = est.params
     grid_shape = (params.n_delay, params.n_doppler)
@@ -697,14 +677,16 @@ def run_detector(
         raise ValueError("sequence and channel estimate sizes differ")
     if cfg.m_0 >= params.n_delay:
         raise ValueError("m_0 outside the delay axis")
-    if sent is None and known_rows is not None:
-        raise ValueError("known_rows needs sent, the transmitted grid")
-    if sent is not None and sent.entries.shape != grid_shape:
+    if sent.entries.shape != grid_shape:
         raise ValueError(
             f"sent has shape {sent.entries.shape}, not the grid's {grid_shape}"
         )
+    plan = cfg.plan()
+    dithered = any(slicer == "dither" for _, slicer in plan)
+    if dithered and rng is None:
+        raise ValueError(f"{cfg.kind} requires an rng for the dither stream")
     # before the frame's state exists, so the slicing temporaries add no peak
-    sent_idx = None if sent is None else constellation.nearest_index(sent.entries)
+    sent_idx = constellation.nearest_index(sent.entries)
 
     state = init_estimates(
         seq,
@@ -713,28 +695,21 @@ def run_detector(
         sigma_z2,
         constellation.power,
         known_rows=known_rows,
-        known_grid=None if sent is None else sent.entries,
+        known_grid=sent.entries,
     )
     frozen = state.frozen_rows
 
-    plan = cfg.plan()
     dither = None
-    if any(slicer == "dither" for _, slicer in plan):
+    if dithered:
         delta = cfg.resolved_delta(constellation)
-        if rng is None:
-            raise ValueError(f"{cfg.kind} requires an rng for the dither stream")
-        shape = (cfg.n_ite, params.n_delay, params.n_doppler)
+        shape = (cfg.n_ite, *grid_shape)
         dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
             -delta, delta, shape
         )
 
-    truth = dd_to_time(sent).samples if sent is not None and collect_equalized else None
-
-    def shat_mse():
-        return float(np.mean(np.abs(state.shat - truth) ** 2))
-
-    mse = [shat_mse()] if truth is not None else None
-    bits, records = [], []
+    if observe is not None:
+        observe(0, state)
+    bits = []
     # sweeps write these in place; the snapshot holds the state a sweep
     # starts from, taken only where the exit may follow it
     watched = (state.shat, state.row_var, state.resid)
@@ -762,20 +737,10 @@ def run_detector(
                 np.array_equal(buf.view(np.uint64), x.view(np.uint64))
                 for buf, x in zip(snapshot, watched)
             )
-        if sent is not None:
-            bits.append(_bit_errors(constellation, state.decision, sent_idx, ~frozen))
-        if collect_equalized:
-            records.append(_record(state))
-        if mse is not None:
-            mse.append(shat_mse())
+        bits.append(_bit_errors(constellation, state.decision, sent_idx, ~frozen))
+        if observe is not None:
+            observe(i + 1, state)
 
     index_grid = state.decision.copy()
-    if sent is not None:
-        index_grid[frozen] = sent_idx[frozen]
-    return DetectionResult(
-        index_grid=index_grid,
-        mse_trace=np.array(mse[1:]) if mse is not None else None,
-        mse_init=mse[0] if mse is not None else None,
-        bit_error_trace=np.array(bits) if sent is not None else None,
-        records=records,
-    )
+    index_grid[frozen] = sent_idx[frozen]
+    return DetectionResult(index_grid=index_grid, bit_error_trace=np.array(bits))

@@ -91,11 +91,15 @@ class SimConfig:
 
     def __post_init__(self):
         for key in (
-            "min_frame_errors", "max_frames", "n_ite", "chunk", "sinr_frames",
-            "evolve_chans", "est_trials", "workers",
+            "min_frame_errors", "max_frames", "n_ite", "chunk", "evolve_chans",
+            "est_trials", "workers",
         ):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        if self.sinr_frames < 2:
+            # one frame's SINR ratio rests on one exponential RIPN power per
+            # symbol, whose reciprocal has no finite mean
+            raise ValueError(f"sinr_frames must be at least 2, got {self.sinr_frames}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.pilot_mode not in PILOT_MODES:
@@ -391,42 +395,43 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     dcfg = cfg.detector_config(kind)
     mn = params.frame_len
 
+    # per iteration i = 1..n_ite: each symbol's signal and RIPN powers, at
+    # row i - 1; the estimates' MSE at row i, the starting state's at row 0
     sig_pow = np.zeros((cfg.n_ite, mn))
     rip_pow = np.zeros((cfg.n_ite, mn))
-    mse_acc = np.zeros(cfg.n_ite)
-    init_mse_acc = 0.0
+    mse = np.zeros(cfg.n_ite + 1)
     for t in range(cfg.sinr_frames):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         det_rng = _frame_rng(cfg, point_idx, t, _ROLE_DETECTOR)
         grid, seq, received, est, _ = _transmit(cfg, ch, const, sigma_z2, rng)
-        res = run_detector(
+
+        def observe(i, state):
+            mse[i] += float(np.mean(np.abs(state.shat - seq.samples) ** 2))
+            if i > 0:
+                psi, eta = analysis.decompose_equalized(
+                    state.equalized, state.normalizer, seq.samples
+                )
+                sig_pow[i - 1] += np.abs(psi) ** 2
+                rip_pow[i - 1] += np.abs(eta) ** 2
+
+        run_detector(
             received,
             est,
             dcfg,
             const,
             det_rng,
-            sigma_z2=sigma_z2,
             sent=grid,
-            collect_equalized=True,
+            sigma_z2=sigma_z2,
+            observe=observe,
         )
-        init_mse_acc += res.mse_init
-        mse_acc += res.mse_trace
-        for i, rec in enumerate(res.records):
-            psi, eta = analysis.decompose_equalized(
-                rec.equalized, rec.normalizer, seq.samples
-            )
-            sig_pow[i] += np.abs(psi) ** 2
-            rip_pow[i] += np.abs(eta) ** 2
 
-    mse = mse_acc / cfg.sinr_frames
-    init_mse = init_mse_acc / cfg.sinr_frames
+    mse /= cfg.sinr_frames
     mom = None if kind == "soft_sicmmse" else analysis.channel_moments(ch)
     rows = []
     for i in range(cfg.n_ite):
         sim = analysis.sinr_from_powers(sig_pow[i], rip_pow[i], cfg.sinr_frames)
         sim_db = 10.0 * np.log10(sim)
-        cur = mse[i]
-        prev = mse[i - 1] if i > 0 else init_mse
+        cur, prev = mse[i + 1], mse[i]
         errs = analysis.ErrorState(
             min(cur, const.power),
             min(prev, const.power),

@@ -26,12 +26,11 @@ from oddmsim.analysis import ChannelMoments
 from oddmsim.channel import DiscreteChannel
 from oddmsim.detectors import (
     DetectionResult,
-    IterationRecord,
     SymbolState,
     init_estimates,
     run_iteration,
 )
-from oddmsim.modem import Constellation, DDGrid, dd_to_time
+from oddmsim.modem import Constellation, DDGrid
 
 
 def time_gain(ch: DiscreteChannel, l: int, q: int) -> complex:
@@ -343,20 +342,18 @@ def run_every_sweep(
     constellation,
     rng=None,
     *,
+    sent,
     sigma_z2=0.0,
     known_rows=None,
-    sent=None,
-    collect_equalized=False,
+    observe=None,
 ) -> DetectionResult:
     """run_detector with no fixed-point exit: the same starting state and
     dither grid, then one run_iteration sweep for every entry of the plan.
 
     Like run_detector, it scores the frame against sent, the transmitted
-    grid: the bit-error trace whenever sent is given, the MSE trace only
-    with collect_equalized as well. Its records are copies of the state's
-    outputs after each sweep, frozen rows set to decision 0 and NaN outputs,
-    made here rather than by the package, and its bit counts are taken from
-    those records."""
+    grid, and calls observe(i, state) with the starting state (i = 0) and
+    after each sweep i. Its bit counts are taken here from the state's
+    decisions, not by the package."""
     state = init_estimates(
         seq,
         est,
@@ -364,7 +361,7 @@ def run_every_sweep(
         sigma_z2,
         constellation.power,
         known_rows=known_rows,
-        known_grid=None if sent is None else sent.entries,
+        known_grid=sent.entries,
     )
     plan = cfg.plan()
     dither = [None] * len(plan)
@@ -374,46 +371,20 @@ def run_every_sweep(
         dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
             -delta, delta, shape
         )
-    truth = dd_to_time(sent).samples if sent is not None and collect_equalized else None
-    mse = []
-
-    def measure_mse():
-        if truth is not None:
-            mse.append(float(np.mean(np.abs(state.shat - truth) ** 2)))
-
-    measure_mse()
-    records = []
-    frozen = state.frozen_rows
-    n = state.decision.shape[1]
-    for (combine, slicer), d in zip(plan, dither):
+    free = ~state.frozen_rows
+    labels = constellation.labels
+    sent_labels = labels[constellation.nearest_index(sent.entries[free])]
+    bits = []
+    if observe is not None:
+        observe(0, state)
+    for i, ((combine, slicer), d) in enumerate(zip(plan, dither), 1):
         run_iteration(
             state, combine, slicer, constellation, sigma_z2, m_0=cfg.m_0, dither=d
         )
-        rec = IterationRecord(
-            state.decision.copy(), state.equalized.copy(), state.normalizer.copy()
-        )
-        rec.decision_idx[frozen] = 0
-        rec.equalized.reshape(n, -1)[:, frozen] = np.nan
-        rec.normalizer.reshape(n, -1)[:, frozen] = np.nan
-        records.append(rec)
-        measure_mse()
-    index_grid = records[-1].decision_idx.copy()
-    bits = None
-    if sent is not None:
-        free = ~state.frozen_rows
-        labels = constellation.labels
-        sent_labels = labels[constellation.nearest_index(sent.entries[free])]
-        bits = np.array(
-            [
-                int(np.bitwise_count(labels[rec.decision_idx[free]] ^ sent_labels).sum())
-                for rec in records
-            ]
-        )
-        index_grid[~free] = constellation.nearest_index(sent.entries[~free])
-    return DetectionResult(
-        index_grid=index_grid,
-        mse_trace=np.array(mse[1:]) if mse else None,
-        mse_init=mse[0] if mse else None,
-        bit_error_trace=bits,
-        records=records if collect_equalized else [],
-    )
+        xor = labels[state.decision[free]] ^ sent_labels
+        bits.append(int(np.bitwise_count(xor).sum()))
+        if observe is not None:
+            observe(i, state)
+    index_grid = state.decision.copy()
+    index_grid[~free] = constellation.nearest_index(sent.entries[~free])
+    return DetectionResult(index_grid=index_grid, bit_error_trace=np.array(bits))

@@ -128,10 +128,15 @@ def test_criterion_4_hard_mmse_equals_mrc_from_second_iteration():
     for trial in range(100):
         ch = _desk_channel(1000 + trial)
         est = o.EstimatedChannel.from_true(ch)
-        _, seq = _random_frame(params, rng)
+        grid, seq = _random_frame(params, rng)
         received = o.apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
         hard = o.run_detector(
-            received, est, o.DetectorConfig("hard_sicmmse", n_ite=2), QAM4, sigma_z2=sz2
+            received,
+            est,
+            o.DetectorConfig("hard_sicmmse", n_ite=2),
+            QAM4,
+            sent=grid,
+            sigma_z2=sz2,
         )
         state = init_estimates(received, est, "zeros", sz2, QAM4.power)
         run_iteration(state, "mmse", "ml", QAM4, sz2)
@@ -301,6 +306,7 @@ def test_criterion_9_tiny_instance_ml_gap():
             o.DetectorConfig(kind="soft_sicmmse", n_ite=6),
             QAM4,
             frng,
+            sent=grid,
             sigma_z2=sz2,
         )
         soft_err += int(not np.array_equal(res.index_grid.reshape(-1), didx))

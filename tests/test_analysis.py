@@ -508,8 +508,8 @@ class TestSerAndEvolution:
 
 class TestMeasurement:
     def test_mse_basics(self, desk_channel, desk_perfect, qam4):
-        # the detector's MSE trace is the mean squared distance of its
-        # time-domain estimates from the transmitted samples
+        # the MSE an observer reads is the mean squared distance of the
+        # detector's time-domain estimates from the transmitted samples
         from oddmsim import DDGrid, DetectorConfig, apply_channel, dd_to_time, run_detector
 
         params = desk_channel.params
@@ -519,6 +519,11 @@ class TestMeasurement:
         grid = DDGrid(qam4.map_bits(bits).reshape(params.n_delay, params.n_doppler), params)
         seq = dd_to_time(grid)
         received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
+        mse = []
+
+        def observe(i, state):
+            mse.append(float(np.mean(np.abs(state.shat - seq.samples) ** 2)))
+
         res = run_detector(
             received,
             desk_perfect,
@@ -526,14 +531,14 @@ class TestMeasurement:
             qam4,
             sigma_z2=sz2,
             sent=grid,
-            collect_equalized=True,
+            observe=observe,
         )
         # hard_sicmmse starts from all-zero estimates
-        assert res.mse_init == float(np.mean(np.abs(seq.samples) ** 2))
+        assert len(mse) == 4
+        assert mse[0] == float(np.mean(np.abs(seq.samples) ** 2))
         decided = dd_to_time(DDGrid(qam4.points[res.index_grid], params)).samples
         expected = float(np.mean(np.abs(decided - seq.samples) ** 2))
-        assert res.mse_trace.shape == (3,)
-        assert res.mse_trace[-1] == pytest.approx(expected, rel=1e-9, abs=1e-20)
+        assert mse[-1] == pytest.approx(expected, rel=1e-9, abs=1e-20)
 
     def test_sinr_caps_when_noiseless(self):
         sig = np.full(10, 4.0)
@@ -564,22 +569,31 @@ class TestMrcSdBound:
         mn = params.frame_len
         psi_p = np.zeros(mn)
         eta_p = np.zeros(mn)
+        n_ite = 10
         for _ in range(20):
             bits = rng.integers(0, 2, mn * 2)
             grid = DDGrid(qam4.map_bits(bits).reshape(params.n_delay, params.n_doppler), params)
             seq = dd_to_time(grid)
             received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-            res = run_detector(
+            last = []
+
+            def observe(i, state):
+                if i == n_ite:
+                    last.append(
+                        an.decompose_equalized(state.equalized, state.normalizer, seq.samples)
+                    )
+
+            run_detector(
                 received,
                 desk_perfect,
-                DetectorConfig(kind="mrc_sd", n_ite=10),
+                DetectorConfig(kind="mrc_sd", n_ite=n_ite),
                 qam4,
                 rng,
                 sigma_z2=sz2,
-                collect_equalized=True,
+                sent=grid,
+                observe=observe,
             )
-            rec = res.records[-1]
-            psi, eta = an.decompose_equalized(rec.equalized, rec.normalizer, seq.samples)
+            [(psi, eta)] = last
             psi_p += np.abs(psi) ** 2
             eta_p += np.abs(eta) ** 2
         measured = np.mean(psi_p / eta_p)

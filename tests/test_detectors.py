@@ -497,7 +497,7 @@ class TestEngine:
         grid, seq = _frame(params, qam4, rng)
         sz2 = 0.05
         received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-        kw = dict(sigma_z2=sz2, collect_equalized=True)
+        kw = dict(sigma_z2=sz2, sent=grid)
         res_ssmi = run_detector(
             received, desk_perfect, DetectorConfig(kind="ssmi_mrc", n_ite=1), qam4, rng, **kw
         )
@@ -520,7 +520,8 @@ class TestEngine:
             ("known_rows", np.arange(16) < 3, (64, 16)),
             ("sent", None, (64, 8)),
             ("sent", None, (16, 64)),
-            ("sent", np.arange(64) < 3, None),
+            # checked before init_estimates pins known_rows from it
+            ("sent", np.arange(64) < 3, (64, 8)),
         ],
         # fixed ids, so that no case's id shifts when another case goes
         ids=["known_rows-bad3", "sent-bad6", "sent-bad7", "sent-bad8"],
@@ -529,11 +530,9 @@ class TestEngine:
         self, name, known_rows, sent_shape, desk_perfect, qam4
     ):
         _, seq = _frame(desk_perfect.params, qam4, np.random.default_rng(28))
-        sent = None
-        if sent_shape is not None:
-            m_count, n = sent_shape
-            params = ModemParams(n_delay=m_count, n_doppler=n, max_delay=2)
-            sent = DDGrid(np.zeros(sent_shape), params)
+        m_count, n = sent_shape
+        params = ModemParams(n_delay=m_count, n_doppler=n, max_delay=2)
+        sent = DDGrid(np.zeros(sent_shape), params)
         with pytest.raises(ValueError, match=name):
             run_detector(
                 seq,
@@ -545,11 +544,17 @@ class TestEngine:
                 sent=sent,
             )
 
-    def test_mrc_sd_requires_rng(self, desk_channel, desk_perfect, qam4):
+    def test_mrc_sd_requires_rng(self, desk_channel, desk_perfect, qam4, monkeypatch):
         params = desk_channel.params
         rng = np.random.default_rng(22)
-        _, seq = _frame(params, qam4, rng)
+        grid, seq = _frame(params, qam4, rng)
         received = apply_channel(desk_channel, seq, 0.1, rng)
+
+        def never(*args, **kwargs):
+            raise AssertionError("init_estimates ran before the rng check")
+
+        # the frame's state is not built for a call that cannot run
+        monkeypatch.setattr(detectors, "init_estimates", never)
         with pytest.raises(ValueError, match="rng"):
             run_detector(
                 received,
@@ -558,6 +563,7 @@ class TestEngine:
                 qam4,
                 None,
                 sigma_z2=0.01,
+                sent=grid,
             )
 
 
@@ -836,6 +842,44 @@ class TestTracingContract:
             for combine, _ in DetectorConfig(kind, n_ite=2).plan():
                 assert combine == "mmse" or combine in tracing.MRC_COMBINES
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wrappers_trace_a_ber_point(self, kind, monkeypatch):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        cfg = harness.desk_preset(max_frames=2, chunk=2, min_frame_errors=3)
+        modules = {"harness": harness, "detectors": detectors, "analysis": analysis}
+        saved = tracing.install(tracer, modules)
+        try:
+            # undone before the tracer's wrappers are restored
+            with monkeypatch.context() as patch:
+                calls = _count_sweeps(patch)
+                per_frame = []
+                detect = harness.run_detector
+
+                def frame(*args, **kwargs):
+                    before = len(calls)
+                    result = detect(*args, **kwargs)
+                    per_frame.append(len(calls) - before)
+                    return result
+
+                patch.setattr(harness, "run_detector", frame)
+                harness.run_ber_point(cfg, kind, 14.0)
+        finally:
+            tracing.restore(saved)
+        for mod_name, names in tracing.TRACED.items():
+            for name in names:
+                assert not hasattr(getattr(modules[mod_name], name), "__wrapped__")
+        spans = tracer.spans
+        names = {s["id"]: s["name"] for s in spans}
+        sweeps = [s for s in spans if s["name"] == "detectors.run_iteration"]
+        assert all(names.get(s["parent"]) == "detectors.run_detector" for s in sweeps)
+        frames = [s["id"] for s in spans if s["name"] == "detectors.run_detector"]
+        assert len(per_frame) == len(frames) == 2
+        assert [sum(s["parent"] == f for s in sweeps) for f in frames] == per_frame
+        metrics = tracing.layer_metrics(spans, rounds=1, units_per_point=2)
+        assert metrics["detectors.sweeps"] == sum(per_frame) > 0
+        assert metrics["detectors.rows"] > 0
+
 
 # every (combine, slicer) step some detector's plan uses
 PLAN_STEPS = sorted(SWEEPS)
@@ -974,7 +1018,8 @@ class TestDirtyRowSchedule:
         est = perturb_channel(desk_channel, 1e-3, rng)
 
         def run():
-            return run_detector(
+            stream, observe = _recorder()
+            res = run_detector(
                 received,
                 est,
                 DetectorConfig(kind, n_ite=10, m_0=m_0),
@@ -982,36 +1027,47 @@ class TestDirtyRowSchedule:
                 np.random.default_rng(27),
                 sigma_z2=sz2,
                 sent=grid,
-                collect_equalized=True,
+                observe=observe,
             )
+            return res, stream
 
-        res = run()
+        res, stream = run()
         monkeypatch.setattr(detectors, "run_iteration", _full_sweep(run_iteration))
-        ref = run()
-        assert np.array_equal(res.index_grid, ref.index_grid)
-        assert np.array_equal(res.bit_error_trace, ref.bit_error_trace)
-        assert np.array_equal(res.mse_trace, ref.mse_trace)
-        assert res.mse_init == ref.mse_init
-        for rec, rec_ref in zip(res.records, ref.records, strict=True):
-            assert np.array_equal(rec.equalized, rec_ref.equalized)
-            assert np.array_equal(rec.normalizer, rec_ref.normalizer)
+        ref, ref_stream = run()
+        _assert_same_detection(res, ref)
+        _assert_same_stream(stream, ref_stream)
 
 
 def _same_bits(a, b):
     """Equal as raw bits: equal NaNs match, -0.0 and 0.0 do not."""
-    if a is None or b is None:
-        return a is b
-    a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same_detection(res, ref):
-    for name in ("index_grid", "mse_init", "mse_trace", "bit_error_trace"):
+    for name in ("index_grid", "bit_error_trace"):
         assert _same_bits(getattr(res, name), getattr(ref, name)), name
-    assert len(res.records) == len(ref.records)
-    for i, (rec, rec_ref) in enumerate(zip(res.records, ref.records)):
-        for name in ("decision_idx", "equalized", "normalizer"):
-            assert _same_bits(getattr(rec, name), getattr(rec_ref, name)), (i, name)
+
+
+# the state arrays a recording observer copies at every call
+OBSERVED = ("decision", "equalized", "normalizer", "shat", "row_var", "resid")
+
+
+def _recorder():
+    """(stream, observe): observe(i, state) appends i and copies of the
+    OBSERVED arrays to stream."""
+    stream = []
+
+    def observe(i, state):
+        stream.append((i, *(getattr(state, name).copy() for name in OBSERVED)))
+
+    return stream, observe
+
+
+def _assert_same_stream(stream, ref):
+    assert [call[0] for call in stream] == [call[0] for call in ref]
+    for (i, *arrays), (_, *ref_arrays) in zip(stream, ref):
+        for name, a, b in zip(OBSERVED, arrays, ref_arrays):
+            assert _same_bits(a, b), (i, name)
 
 
 def _count_sweeps(monkeypatch, then=None):
@@ -1022,10 +1078,9 @@ def _count_sweeps(monkeypatch, then=None):
 
     def counting(state, combine, *args, **kwargs):
         calls.append(combine)
-        record = sweep(state, combine, *args, **kwargs)
+        sweep(state, combine, *args, **kwargs)
         if then is not None:
             then(state)
-        return record
 
     monkeypatch.setattr(detectors, "run_iteration", counting)
     return calls
@@ -1058,8 +1113,9 @@ def _pin_every_row(cfg, kwargs):
 
 class TestFixedPointExit:
     """run_detector stops at an exact fixed point and reports the remaining
-    sweeps as copies of the last one: every output equals, bit for bit, that
-    of running every sweep of the plan (oracles.run_every_sweep)."""
+    sweeps as copies of the last one: every output, and every state its
+    observer sees, equals, bit for bit, that of running every sweep of the
+    plan (oracles.run_every_sweep)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -1070,10 +1126,10 @@ class TestFixedPointExit:
         snr_db=st.sampled_from([10.0, 20.0, 30.0]),
         estimated=st.booleans(),
         frozen=st.lists(st.booleans(), min_size=TINY.n_delay, max_size=TINY.n_delay),
-        collect=st.booleans(),
+        observed=st.booleans(),
     )
     def test_tiny_frames_match_every_sweep(
-        self, kind, n_ite, m_0, seed, snr_db, estimated, frozen, collect
+        self, kind, n_ite, m_0, seed, snr_db, estimated, frozen, observed
     ):
         rng = np.random.default_rng(seed)
         qam4 = make_constellation(4)
@@ -1087,15 +1143,20 @@ class TestFixedPointExit:
         sz2 = 10.0 ** (-snr_db / 10.0)
         received = apply_channel(ch, seq, float(np.sqrt(sz2)), rng)
         args = (received, est, DetectorConfig(kind, n_ite=n_ite, m_0=m_0), qam4)
-        kwargs = dict(
-            sigma_z2=sz2,
-            known_rows=np.array(frozen),
-            sent=grid,
-            collect_equalized=collect,
+        kwargs = dict(sigma_z2=sz2, known_rows=np.array(frozen), sent=grid)
+        stream, observe = _recorder()
+        ref_stream, ref_observe = _recorder()
+        res = run_detector(
+            *args, np.random.default_rng(seed), **kwargs,
+            observe=observe if observed else None,
         )
-        res = run_detector(*args, np.random.default_rng(seed), **kwargs)
-        ref = run_every_sweep(*args, np.random.default_rng(seed), **kwargs)
+        ref = run_every_sweep(
+            *args, np.random.default_rng(seed), **kwargs,
+            observe=ref_observe if observed else None,
+        )
         _assert_same_detection(res, ref)
+        _assert_same_stream(stream, ref_stream)
+        assert len(stream) == (n_ite + 1 if observed else 0)
 
     @pytest.mark.parametrize("pilot_mode", ["perfect_csi", "estimated"])
     @pytest.mark.parametrize("scale", ["desk", "paper"])
@@ -1109,39 +1170,39 @@ class TestFixedPointExit:
             pilot_mode=pilot_mode, snr_pilot_db=40.0, n_ite=10 if scale == "desk" else 6
         )
         (*inputs, rng), kwargs = _harness_inputs(cfg, kind, 17.0, monkeypatch)
-        kwargs["collect_equalized"] = True
-        res = run_detector(*inputs, copy.deepcopy(rng), **kwargs)
-        ref = run_every_sweep(*inputs, rng, **kwargs)
+        stream, observe = _recorder()
+        ref_stream, ref_observe = _recorder()
+        res = run_detector(*inputs, copy.deepcopy(rng), **kwargs, observe=observe)
+        ref = run_every_sweep(*inputs, rng, **kwargs, observe=ref_observe)
         _assert_same_detection(res, ref)
+        _assert_same_stream(stream, ref_stream)
 
     def test_high_snr_soft_frame_stops_early(self, monkeypatch):
         cfg = harness.desk_preset()
         args, kwargs = _harness_inputs(cfg, "soft_sicmmse", 20.0, monkeypatch)
         calls = _count_sweeps(monkeypatch)
-        res = run_detector(*args, **kwargs, collect_equalized=True)
+        seen = []
+        res = run_detector(*args, **kwargs, observe=lambda i, state: seen.append(i))
         assert 1 <= len(calls) < cfg.n_ite
-        traces = (res.bit_error_trace, res.mse_trace, res.records)
-        assert [len(t) for t in traces] == [cfg.n_ite] * 3
+        assert seen == list(range(cfg.n_ite + 1))
+        assert len(res.bit_error_trace) == cfg.n_ite
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_records_are_built_only_when_collected(self, kind, monkeypatch):
+    def test_observer_sees_every_iteration(self, kind, monkeypatch):
         # the 20 dB soft_sicmmse frame is the one that stops early above
         cfg = harness.desk_preset()
-        args, kwargs = _harness_inputs(cfg, kind, 20.0, monkeypatch)
+        (*inputs, rng), kwargs = _harness_inputs(cfg, kind, 20.0, monkeypatch)
+        plain = run_detector(*inputs, copy.deepcopy(rng), **kwargs)
         calls = _count_sweeps(monkeypatch)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an IterationRecord built without collect_equalized")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(detectors, "IterationRecord", refuse)
-            res = run_detector(*args, **kwargs)
-        assert res.records == []
-        assert len(res.bit_error_trace) == cfg.n_ite
+        stream, observe = _recorder()
+        res = run_detector(*inputs, rng, **kwargs, observe=observe)
+        _assert_same_detection(res, plain)
+        assert [call[0] for call in stream] == list(range(cfg.n_ite + 1))
+        assert len(calls) <= cfg.n_ite
         if kind == "soft_sicmmse":
             assert len(calls) < cfg.n_ite
-        res = run_detector(*args, **kwargs, collect_equalized=True)
-        assert len({id(rec) for rec in res.records}) == cfg.n_ite
+        # the last call sees the decisions the result reports
+        assert np.array_equal(stream[-1][1], res.index_grid)
 
     @pytest.mark.parametrize("all_frozen", [False, True])
     @pytest.mark.parametrize("kind", KINDS)

@@ -195,11 +195,13 @@ class TestConfigParsing:
             ("snr_pilot_db", float("nan"), "snr_pilot_db"),
             ("snr_pilot_db", float("inf"), "snr_pilot_db"),
             ("snr_pilot_db", float("-inf"), "snr_pilot_db"),
+            # one frame's SINR ratios have no finite mean
+            ("sinr_frames", 1, "sinr_frames"),
         ],
         ids=[
             "max_frames0", "n_ite0", "qam3", "m0-64", "m0-neg", "ratio2", "ratio0",
             "n4-kmax3", "seed-neg", "snr-nan", "snr-neginf", "pilot-nan",
-            "pilot-inf", "pilot-neginf",
+            "pilot-inf", "pilot-neginf", "sinr_frames1",
         ],
     )
     def test_bad_value_rejected_before_any_output(self, key, value, message):
