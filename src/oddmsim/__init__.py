@@ -19,10 +19,11 @@ from .channel import (
 )
 from .pilot import (
     EstimatedChannel,
-    PilotConfig,
+    data_cell_count,
     embed_pilot,
     estimate_channel,
     gains_from_estimate,
+    guard_rows,
     perturb_channel,
     pilot_amplitude_for_snr,
 )

@@ -309,18 +309,15 @@ def _inverse_norm(norm2: np.ndarray) -> np.ndarray:
     return inv
 
 
-def sinr_mrc_profile(
-    ch: DiscreteChannel, errs: ErrorState, mom: ChannelMoments | None = None
-) -> np.ndarray:
-    """Linear post-equalization SINR of MRC for every symbol index q.
+def sinr_mrc_profile(mom: ChannelMoments, errs: ErrorState) -> np.ndarray:
+    """Linear post-equalization SINR of MRC for every symbol index q, from
+    the channel's channel_moments mom.
 
     Also the SINR of hard-cancellation MMSE from the second iteration onward
     (the two outputs differ only by a positive scale). With both symbol-error
     variances at zero it is the ideal-cancellation upper bound shared by MRC
-    and both MMSE variants. mom, when given, must be channel_moments(ch).
+    and both MMSE variants.
     """
-    if mom is None:
-        mom = channel_moments(ch)
     lm = mom.l_max
     lm1 = lm + 1
     quart = lm * lm + 3 * lm + 2  # (l_max+1)(l_max+2)
@@ -452,7 +449,7 @@ def state_evolution(
     for _ in range(_EVOLUTION_STEPS):
         if kind == "mrc_hard":
             errs = ErrorState(var, var, sigma_dg2, power, sigma_z2)
-            profile = sinr_mrc_profile(ch, errs, mom)
+            profile = sinr_mrc_profile(mom, errs)
         else:
             profile = spectrum.sinr(var, sigma_z2, power)
         sinr_mean = float(np.mean(profile))

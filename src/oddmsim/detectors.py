@@ -58,9 +58,10 @@ clean, and a skipped row reports what processing it would give), so each
 remaining sweep would repeat the last one bit for bit. Every iteration is
 scored against the transmitted grid from the state, and handed to the
 caller's observer, so the remaining ones repeat the last sweep's entries and
-the bit-error trace keeps its n_ite entries. Dither grids are drawn for all
-n_ite sweeps before the first one, and a dither plan never stops early, so
-no random stream moves.
+the bit-error trace keeps its n_ite entries. A dither plan never stops
+early. Each sweep draws its dither grid as it runs, the real parts from the
+frame's generator and the imaginary parts from a copy of its bit generator
+advanced past all n_ite real parts: the grids of one up-front draw.
 
 Each row's forward and inverse unitary N-point DFTs call numpy's pocketfft
 gufuncs directly with np.fft's own 1/sqrt(N) factor, formed once per sweep:
@@ -68,6 +69,7 @@ the same kernel and factor give the same bits, without the Python np.fft runs
 per call, which at N = 32 is about a fifth of an MRC row's cost.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -685,6 +687,9 @@ def run_detector(
     dithered = any(slicer == "dither" for _, slicer in plan)
     if dithered and rng is None:
         raise ValueError(f"{cfg.kind} requires an rng for the dither stream")
+    if dithered and not hasattr(rng.bit_generator, "advance"):
+        name = type(rng.bit_generator).__name__
+        raise ValueError(f"{cfg.kind} needs a bit generator with advance, not {name}")
     # before the frame's state exists, so the slicing temporaries add no peak
     sent_idx = constellation.nearest_index(sent.entries)
 
@@ -701,11 +706,11 @@ def run_detector(
 
     dither = None
     if dithered:
+        # the imaginary parts: the stream after all n_ite grids' real parts
         delta = cfg.resolved_delta(constellation)
-        shape = (cfg.n_ite, *grid_shape)
-        dither = rng.uniform(-delta, delta, shape) + 1j * rng.uniform(
-            -delta, delta, shape
-        )
+        imag_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        imag_rng.bit_generator.advance(cfg.n_ite * params.frame_len)
+        dither = np.empty(grid_shape, dtype=np.complex128)
 
     if observe is not None:
         observe(0, state)
@@ -723,6 +728,9 @@ def run_detector(
             if may_stop:
                 for buf, x in zip(snapshot, watched):
                     np.copyto(buf, x)
+            if dither is not None:
+                dither.real = rng.uniform(-delta, delta, grid_shape)
+                dither.imag = imag_rng.uniform(-delta, delta, grid_shape)
             run_iteration(
                 state,
                 combine,
@@ -730,7 +738,7 @@ def run_detector(
                 constellation,
                 sigma_z2,
                 m_0=cfg.m_0,
-                dither=dither[i] if dither is not None else None,
+                dither=dither,
             )
             # compared as raw bits: by value, -0.0 would equal 0.0
             fixed = may_stop and all(

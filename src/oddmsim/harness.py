@@ -4,6 +4,8 @@ Every frame draws its randomness from a counter-based seed sequence
 (master seed, SNR-grid index, frame index, role), so results are bit-identical
 for a given configuration regardless of worker count or scheduling, and all
 detectors at one SNR point see the same channel/noise/data realizations.
+A frame is laid out, sent and estimated in one place (_transmit), which also
+decides whether it carries a pilot and hands the detector its guard rows.
 """
 
 import contextlib
@@ -22,10 +24,11 @@ from .detectors import DITHER_RATIO, DetectorConfig, run_detector
 from .modem import DDGrid, ModemParams, dd_to_time, make_constellation, time_to_dd
 from .pilot import (
     EstimatedChannel,
-    PilotConfig,
     channel_taps,
+    data_cell_count,
     embed_pilot,
     estimate_channel,
+    guard_rows,
     perturb_channel,
     pilot_amplitude_for_snr,
 )
@@ -254,7 +257,10 @@ def apply_config_text(cfg: SimConfig, text: str) -> SimConfig:
         if key not in _KEYS:
             raise ValueError(f"unknown configuration key {key!r}")
         field, parse = _KEYS[key]
-        changes[field] = parse(value)
+        try:
+            changes[field] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: {exc}") from exc
     return replace(cfg, **changes)
 
 
@@ -274,53 +280,47 @@ def _frame_rng(cfg: SimConfig, point_idx: int, frame_idx: int, role: int):
     return np.random.default_rng(seq)
 
 
-def _pilot_config(cfg: SimConfig, sigma_z2: float) -> PilotConfig:
-    """Embedded pilot sized for cfg.snr_pilot_db at noise variance sigma_z2."""
-    params = cfg.params
-    amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
-    return PilotConfig(amplitude=amp)
-
-
-def _transmit(cfg: SimConfig, ch, const, sigma_z2: float, rng, pcfg=None):
+def _transmit(cfg: SimConfig, ch, const, sigma_z2: float, rng):
     """Draw, map and send one frame through ch; estimate ch by the pilot mode.
 
-    The data fill the whole grid, or, when pcfg is given, the cells around
-    its embedded pilot. Returns (grid, seq, received, est, n_bits).
+    Under pilot mode 'estimated' the frame embeds a pilot sized for
+    cfg.snr_pilot_db at noise variance sigma_z2, the data fill the rows off
+    its guard band, and known_rows marks the guard rows for the detector;
+    otherwise the data fill the whole grid and known_rows is None. Returns
+    (grid, seq, received, est, n_bits, known_rows).
     """
     params = cfg.params
-    n_data = params.frame_len if pcfg is None else pcfg.data_cell_count(params)
+    pilot = cfg.pilot_mode == "estimated"
+    n_data = data_cell_count(params) if pilot else params.frame_len
     bits = rng.integers(0, 2, n_data * const.bits_per_symbol)
     data = const.map_bits(bits)
-    if pcfg is None:
-        grid = DDGrid(data.reshape(params.n_delay, params.n_doppler), params)
+    known_rows = None
+    if pilot:
+        amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
+        grid = embed_pilot(data, amp, params)
+        known_rows = np.zeros(params.n_delay, dtype=bool)
+        known_rows[guard_rows(params)] = True
     else:
-        grid = embed_pilot(data, pcfg, params)
+        grid = DDGrid(data.reshape(params.n_delay, params.n_doppler), params)
     seq = dd_to_time(grid)
     received = apply_channel(ch, seq, float(np.sqrt(sigma_z2)), rng)
-    if cfg.pilot_mode == "perfect_csi":
-        est = EstimatedChannel.from_true(ch)
+    if pilot:
+        est = estimate_channel(time_to_dd(received), amp)
     elif cfg.pilot_mode == "synthetic":
         est = perturb_channel(ch, cfg.sigma_dg2 / params.n_doppler, rng)
     else:
-        est = estimate_channel(time_to_dd(received), pcfg)
-    return grid, seq, received, est, bits.size
+        est = EstimatedChannel.from_true(ch)
+    return grid, seq, received, est, bits.size, known_rows
 
 
 def _ber_frame(cfg: SimConfig, kind: str, snr_db: float, point_idx: int, frame_idx: int):
     """Simulate one frame; returns (bit_errors, data_bits, frame_error)."""
-    params = cfg.params
     const, sigma_z2 = cfg.link(snr_db)
     rng = _frame_rng(cfg, point_idx, frame_idx, _ROLE_FRAME)
     det_rng = _frame_rng(cfg, point_idx, frame_idx, _ROLE_DETECTOR)
 
-    ch = sample_channel(cfg.profile, params, rng)
-    pcfg = _pilot_config(cfg, sigma_z2) if cfg.pilot_mode == "estimated" else None
-    grid, _, received, est, n_bits = _transmit(cfg, ch, const, sigma_z2, rng, pcfg)
-    known_rows = None
-    if pcfg is not None:
-        known_rows = np.zeros(params.n_delay, dtype=bool)
-        known_rows[pcfg.guard_rows(params)] = True
-
+    ch = sample_channel(cfg.profile, cfg.params, rng)
+    grid, _, received, est, n_bits, known_rows = _transmit(cfg, ch, const, sigma_z2, rng)
     result = run_detector(
         received,
         est,
@@ -403,7 +403,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
     for t in range(cfg.sinr_frames):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         det_rng = _frame_rng(cfg, point_idx, t, _ROLE_DETECTOR)
-        grid, seq, received, est, _ = _transmit(cfg, ch, const, sigma_z2, rng)
+        grid, seq, received, est, _, _ = _transmit(cfg, ch, const, sigma_z2, rng)
 
         def observe(i, state):
             mse[i] += float(np.mean(np.abs(state.shat - seq.samples) ** 2))
@@ -442,7 +442,7 @@ def sinr_point(cfg: SimConfig, kind: str, snr_db: float, point_idx: int = 0):
         if kind == "soft_sicmmse":
             theory = analysis.sinr_soft_profile(ch, errs)
         else:
-            theory = analysis.sinr_mrc_profile(ch, errs, mom)
+            theory = analysis.sinr_mrc_profile(mom, errs)
         theory_db = 10.0 * np.log10(float(np.mean(theory)))
         rows.append((i + 1, sim_db, theory_db))
     return rows
@@ -495,10 +495,10 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
     """Empirical vs predicted estimation-error variances (DD and time domain)."""
     params = cfg.params
     _, sigma_z2 = cfg.link(snr_db)
-    pcfg = _pilot_config(cfg, sigma_z2)
+    amp = pilot_amplitude_for_snr(cfg.snr_pilot_db, sigma_z2, params)
     # a pilot-only frame: the same transmitted sequence in every trial
-    data = np.zeros(pcfg.data_cell_count(params), dtype=np.complex128)
-    sent = dd_to_time(embed_pilot(data, pcfg, params))
+    data = np.zeros(data_cell_count(params), dtype=np.complex128)
+    sent = dd_to_time(embed_pilot(data, amp, params))
     sigma_z = float(np.sqrt(sigma_z2))
     dh_acc = 0.0
     dg_acc = 0.0
@@ -508,7 +508,7 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
         rng = _frame_rng(cfg, point_idx, t, _ROLE_FRAME)
         ch = sample_channel(cfg.profile, params, rng)
         received = apply_channel(ch, sent, sigma_z, rng)
-        est = estimate_channel(time_to_dd(received), pcfg)
+        est = estimate_channel(time_to_dd(received), amp)
         dh = est.taps - channel_taps(ch)
         dh_acc += float(np.sum(np.abs(dh) ** 2))
         n_cells += dh.size
@@ -516,8 +516,8 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
         dg_sub = dg[:, ::_GAIN_ERROR_STRIDE]
         dg_acc += float(np.sum(np.abs(dg_sub) ** 2))
         n_gcells += dg_sub.size
-    var_dh_theory = sigma_z2 / pcfg.dd_power
-    var_dg_theory = sigma_z2 * params.n_doppler / pcfg.dd_power
+    var_dh_theory = sigma_z2 / abs(amp) ** 2
+    var_dg_theory = sigma_z2 * params.n_doppler / abs(amp) ** 2
     return (
         cfg.est_trials,
         dh_acc / n_cells,

@@ -1,17 +1,16 @@
 """Embedded-pilot frames, read-off channel estimation, and the Gaussian
 estimation-error model.
 
-The pilot sits in the middle of the DD grid with full guard rows on the delay
-axis, wide enough that channel-spread pilot and data never overlap. The
-estimator reads the dense (l_max+1) x N block of responses around the pilot;
-no thresholding is applied, so the estimate matches the additive Gaussian
-error model used by the SINR analysis. l_max is the frame's
-ModemParams.max_delay throughout: the guard half-width, the read-off window
-and every estimate's tap table take it from the frame, and since the frame
-requires M > 2 max_delay, the guard band and the window always fit the grid.
+A pilot is its amplitude; the frame fixes the rest. It sits in the middle of
+the DD grid with full guard rows on the delay axis (guard_rows), wide enough
+that channel-spread pilot and data never overlap. The estimator reads the
+dense (l_max+1) x N block of responses around the pilot; no thresholding is
+applied, so the estimate matches the additive Gaussian error model used by
+the SINR analysis. l_max is the frame's ModemParams.max_delay throughout:
+the guard half-width, the read-off window and every estimate's tap table
+take it from the frame, and since the frame requires M > 2 max_delay, the
+guard band and the window always fit the grid.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,9 @@ from .channel import DiscreteChannel
 from .modem import DDGrid, ModemParams
 
 __all__ = [
-    "PilotConfig",
     "EstimatedChannel",
+    "guard_rows",
+    "data_cell_count",
     "pilot_amplitude_for_snr",
     "embed_pilot",
     "estimate_channel",
@@ -30,37 +30,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PilotConfig:
-    """Pilot amplitude; the guard band's half-width on the delay axis is the
-    frame's params.max_delay."""
+def _pilot_cell(params: ModemParams) -> tuple:
+    """(delay, Doppler) index of the pilot: the middle of the grid."""
+    return params.n_delay // 2, params.n_doppler // 2
 
-    amplitude: complex
 
-    def m_pilot(self, params: ModemParams) -> int:
-        return params.n_delay // 2
+def guard_rows(params: ModemParams) -> np.ndarray:
+    """Delay rows of the pilot and its guards (no data): its row +- max_delay."""
+    mp, _ = _pilot_cell(params)
+    return np.arange(mp - params.max_delay, mp + params.max_delay + 1)
 
-    def n_pilot(self, params: ModemParams) -> int:
-        return params.n_doppler // 2
 
-    @property
-    def dd_power(self) -> float:
-        """DD-domain pilot power |x_pilot|^2."""
-        return abs(self.amplitude) ** 2
-
-    def guard_rows(self, params: ModemParams) -> np.ndarray:
-        """Delay rows reserved for pilot plus guards (no data)."""
-        mp = self.m_pilot(params)
-        return np.arange(mp - params.max_delay, mp + params.max_delay + 1)
-
-    def data_mask(self, params: ModemParams) -> np.ndarray:
-        """Boolean (M, N) mask of cells that carry data symbols."""
-        mask = np.ones((params.n_delay, params.n_doppler), dtype=bool)
-        mask[self.guard_rows(params), :] = False
-        return mask
-
-    def data_cell_count(self, params: ModemParams) -> int:
-        return params.frame_len - params.n_doppler * (2 * params.max_delay + 1)
+def data_cell_count(params: ModemParams) -> int:
+    """Number of data symbols a pilot frame carries."""
+    return params.frame_len - params.n_doppler * (2 * params.max_delay + 1)
 
 
 def pilot_amplitude_for_snr(
@@ -71,20 +54,22 @@ def pilot_amplitude_for_snr(
     return float(np.sqrt(p_dd))
 
 
-def embed_pilot(data: np.ndarray, cfg: PilotConfig, params: ModemParams) -> DDGrid:
-    """Place pilot, guards, and data symbols onto a DD grid.
+def embed_pilot(data: np.ndarray, amplitude: complex, params: ModemParams) -> DDGrid:
+    """Place a pilot of the given amplitude, its guards, and data symbols
+    onto a DD grid.
 
-    Data symbols fill the non-guard cells in row-major order (delay-major),
-    which fixes the bit accounting for BER measurements.
+    Data symbols fill the rows off the guard band in row-major order
+    (delay-major), which fixes the bit accounting for BER measurements.
     """
     data = np.asarray(data, dtype=np.complex128).ravel()
-    expected = cfg.data_cell_count(params)
+    expected = data_cell_count(params)
     if data.shape[0] != expected:
         raise ValueError(f"expected {expected} data symbols, got {data.shape[0]}")
     grid = np.zeros((params.n_delay, params.n_doppler), dtype=np.complex128)
-    mask = cfg.data_mask(params)
-    grid[mask] = data  # row-major assignment over the masked cells
-    grid[cfg.m_pilot(params), cfg.n_pilot(params)] = cfg.amplitude
+    data_rows = np.ones(params.n_delay, dtype=bool)
+    data_rows[guard_rows(params)] = False
+    grid[data_rows] = data.reshape(-1, params.n_doppler)
+    grid[_pilot_cell(params)] = amplitude
     return DDGrid(grid, params)
 
 
@@ -167,20 +152,21 @@ def gains_from_estimate(taps: np.ndarray, params: ModemParams) -> EstimatedChann
     return EstimatedChannel(gains, support=range(n_rows), params=params, taps=taps)
 
 
-def estimate_channel(grid: DDGrid, cfg: PilotConfig) -> EstimatedChannel:
-    """Read the dense channel response off the received pilot block.
+def estimate_channel(grid: DDGrid, amplitude: complex) -> EstimatedChannel:
+    """Read the dense channel response off the received block of a pilot of
+    the given amplitude.
 
     Every cell in the (l_max+1) x N window is divided by the pilot's phase-
     rotated amplitude, so the result is the true response plus white Gaussian
     error of per-entry variance sigma_z2 / |x_pilot|^2.
     """
     params = grid.params
-    mp, npil = cfg.m_pilot(params), cfg.n_pilot(params)
+    mp, npil = _pilot_cell(params)
     lm = params.max_delay
     ks = _doppler_axis(params)
     cols = (npil + ks) % params.n_doppler
     block = grid.entries[mp : mp + lm + 1][:, cols]
-    divisor = cfg.amplitude * np.exp(2j * np.pi * mp * ks / params.frame_len)
+    divisor = amplitude * np.exp(2j * np.pi * mp * ks / params.frame_len)
     taps = block / divisor[None, :]
     return gains_from_estimate(taps, params)
 

@@ -189,8 +189,7 @@ def test_criterion_6_estimation_error_law():
     params = DESK.params
     sz2 = 0.05
     amp = o.pilot_amplitude_for_snr(30.0, sz2, params)
-    pcfg = o.PilotConfig(amplitude=amp)
-    frame = o.embed_pilot(np.zeros(pcfg.data_cell_count(params)), pcfg, params)
+    frame = o.embed_pilot(np.zeros(o.data_cell_count(params)), amp, params)
     clean = o.dd_to_time(frame)
     rng = np.random.default_rng(105)
     ch = _desk_channel(105)
@@ -200,12 +199,12 @@ def test_criterion_6_estimation_error_law():
     trials = 10_000
     for _ in range(trials):
         received = o.apply_channel(ch, clean, float(np.sqrt(sz2)), rng)
-        est = o.estimate_channel(o.time_to_dd(received), pcfg)
+        est = o.estimate_channel(o.time_to_dd(received), amp)
         err = est.gains[:, ::128] - true_gains[:, ::128]
         acc += float(np.sum(np.abs(err) ** 2))
         count += err.size
     emp = acc / count
-    expected = sz2 * params.n_doppler / pcfg.dd_power
+    expected = sz2 * params.n_doppler / amp**2
     assert abs(emp - expected) <= 0.05 * expected
     print(f"[criterion 6] PASS Var(dg) {emp:.4g} ~ {expected:.4g}")
 
@@ -371,7 +370,9 @@ def test_criterion_11_sinr_upper_bound():
             ch = o.sample_channel(cfg.profile, cfg.params, _frame_rng(cfg, pi, 0, 2))
             sz2 = 10 ** (-snr / 10)
             bound = np.mean(
-                an.sinr_mrc_profile(ch, an.ErrorState(0.0, 0.0, 0.0, 1.0, sz2))
+                an.sinr_mrc_profile(
+                    an.channel_moments(ch), an.ErrorState(0.0, 0.0, 0.0, 1.0, sz2)
+                )
             )
             bound_db = 10 * np.log10(float(bound))
             gap = bound_db - sim_db

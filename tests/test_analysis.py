@@ -120,7 +120,7 @@ class TestMrcSinr:
         errs = ErrorState(0.0, 0.0, 0.0, 1.0, sz2)
         mom = channel_moments(desk_channel)
         np.testing.assert_allclose(
-            sinr_mrc_profile(desk_channel, errs, mom), mom.energy / sz2, rtol=1e-12
+            sinr_mrc_profile(mom, errs), mom.energy / sz2, rtol=1e-12
         )
 
     def test_matches_monte_carlo_with_injected_errors(self, desk_channel, qam4):
@@ -160,17 +160,18 @@ class TestMrcSinr:
             eta_p += np.abs(num - vhat * s) ** 2
         emp_db = 10 * np.log10(np.mean(psi_p / eta_p))
         errs = ErrorState(v_err, v_err, sdg2, 1.0, sz2)
-        th_db = 10 * np.log10(np.mean(sinr_mrc_profile(desk_channel, errs)))
+        mom = channel_moments(desk_channel)
+        th_db = 10 * np.log10(np.mean(sinr_mrc_profile(mom, errs)))
         assert abs(emp_db - th_db) <= 0.3
 
     def test_monotone_in_each_variance(self, desk_channel):
         base = dict(sigma_e2_cur=0.05, sigma_e2_prev=0.08, sigma_dg2=1e-3, power=1.0, sigma_z2=0.02)
         mom = channel_moments(desk_channel)
-        ref = sinr_mrc_profile(desk_channel, ErrorState(**base), mom)
+        ref = sinr_mrc_profile(mom, ErrorState(**base))
         for name in ("sigma_e2_cur", "sigma_e2_prev", "sigma_dg2", "sigma_z2"):
             worse = dict(base)
             worse[name] = base[name] * 3 + 1e-4
-            assert np.all(sinr_mrc_profile(desk_channel, ErrorState(**worse), mom) < ref)
+            assert np.all(sinr_mrc_profile(mom, ErrorState(**worse)) < ref)
 
     def test_upper_bound_dominates(self, desk_channel):
         # the ideal-cancellation bound is the profile at zero symbol error
@@ -186,22 +187,19 @@ class TestMrcSinr:
                 1.0,
                 sz2,
             )
-            bound = sinr_mrc_profile(desk_channel, ErrorState(0.0, 0.0, dg2, 1.0, sz2), mom)
-            assert np.all(bound >= sinr_mrc_profile(desk_channel, errs, mom) - 1e-12)
+            bound = sinr_mrc_profile(mom, ErrorState(0.0, 0.0, dg2, 1.0, sz2))
+            assert np.all(bound >= sinr_mrc_profile(mom, errs) - 1e-12)
 
     def test_bound_slope_flattens_with_channel_error(self, desk_channel):
         # dSINR/dSNR near 18 dB drops visibly once channel error dominates
         snrs = np.array([8.0, 18.0])
+        mom = channel_moments(desk_channel)
         slopes = []
         for dg2 in (0.0, 10 ** (-2.0)):
             vals = []
             for snr in snrs:
                 sz2 = 10 ** (-snr / 10)
-                v = np.mean(
-                    sinr_mrc_profile(
-                        desk_channel, ErrorState(0.0, 0.0, dg2, 1.0, sz2)
-                    )
-                )
+                v = np.mean(sinr_mrc_profile(mom, ErrorState(0.0, 0.0, dg2, 1.0, sz2)))
                 vals.append(10 * np.log10(v))
             slopes.append((vals[1] - vals[0]) / (snrs[1] - snrs[0]))
         assert slopes[0] > 0.95  # near-linear without channel error
@@ -600,5 +598,6 @@ class TestMrcSdBound:
         # the MRC form with the dither (variance delta^2/3 per axis) as the
         # only symbol error, on the current and previous interferers alike
         d2 = delta**2 / 3
-        bounds = sinr_mrc_profile(desk_channel, ErrorState(d2, d2, 0.0, 1.0, sz2))[::64]
+        mom = channel_moments(desk_channel)
+        bounds = sinr_mrc_profile(mom, ErrorState(d2, d2, 0.0, 1.0, sz2))[::64]
         assert measured < bounds.mean()

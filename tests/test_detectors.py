@@ -6,6 +6,7 @@ perfbench/tracing.py wraps."""
 import copy
 import importlib.util
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,13 @@ from oddmsim.channel import (
 )
 from oddmsim.detectors import DETECTORS, KINDS, SWEEPS, init_estimates, run_iteration
 from oddmsim.modem import ModemParams, TimeSequence
-from oddmsim.pilot import PilotConfig, embed_pilot, estimate_channel, perturb_channel
+from oddmsim.pilot import (
+    data_cell_count,
+    embed_pilot,
+    estimate_channel,
+    guard_rows,
+    perturb_channel,
+)
 from oddmsim.modem import time_to_dd
 
 from oracles import (
@@ -141,13 +148,12 @@ class TestInit:
         params = desk_channel.params
         rng = np.random.default_rng(29)
         sz2 = 0.02
-        pcfg = PilotConfig(amplitude=30.0)
-        bits = rng.integers(0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol)
-        grid = embed_pilot(qam4.map_bits(bits), pcfg, params)
+        bits = rng.integers(0, 2, data_cell_count(params) * qam4.bits_per_symbol)
+        grid = embed_pilot(qam4.map_bits(bits), 30.0, params)
         received = apply_channel(desk_channel, dd_to_time(grid), float(np.sqrt(sz2)), rng)
-        est = estimate_channel(time_to_dd(received), pcfg)
+        est = estimate_channel(time_to_dd(received), 30.0)
         known_rows = np.zeros(params.n_delay, dtype=bool)
-        known_rows[pcfg.guard_rows(params)] = True
+        known_rows[guard_rows(params)] = True
         state = init_estimates(
             received, est, mode, sz2, qam4.power,
             known_rows=known_rows, known_grid=grid.entries,
@@ -448,16 +454,13 @@ class TestEngine:
         params = desk_channel.params
         rng = np.random.default_rng(19)
         sz2 = 0.02
-        pcfg = PilotConfig(amplitude=30.0)
-        data_bits = rng.integers(
-            0, 2, pcfg.data_cell_count(params) * qam4.bits_per_symbol
-        )
-        grid = embed_pilot(qam4.map_bits(data_bits), pcfg, params)
+        data_bits = rng.integers(0, 2, data_cell_count(params) * qam4.bits_per_symbol)
+        grid = embed_pilot(qam4.map_bits(data_bits), 30.0, params)
         seq = dd_to_time(grid)
         received = apply_channel(desk_channel, seq, float(np.sqrt(sz2)), rng)
-        est = estimate_channel(time_to_dd(received), pcfg)
+        est = estimate_channel(time_to_dd(received), 30.0)
         known_rows = np.zeros(params.n_delay, dtype=bool)
-        known_rows[pcfg.guard_rows(params)] = True
+        known_rows[guard_rows(params)] = True
         res = run_detector(
             received,
             est,
@@ -565,6 +568,82 @@ class TestEngine:
                 sigma_z2=0.01,
                 sent=grid,
             )
+
+    def test_mrc_sd_rejects_a_bit_generator_without_advance(
+        self, desk_channel, desk_perfect, qam4, monkeypatch
+    ):
+        # the imaginary dither parts come from an advanced copy of the
+        # generator's bit generator; MT19937 cannot advance
+        params = desk_channel.params
+        rng = np.random.default_rng(25)
+        grid, seq = _frame(params, qam4, rng)
+        received = apply_channel(desk_channel, seq, 0.1, rng)
+
+        def never(*args, **kwargs):
+            raise AssertionError("init_estimates ran before the rng check")
+
+        monkeypatch.setattr(detectors, "init_estimates", never)
+        with pytest.raises(ValueError, match="advance.*MT19937"):
+            run_detector(
+                received,
+                desk_perfect,
+                DetectorConfig(kind="mrc_sd"),
+                qam4,
+                np.random.Generator(np.random.MT19937(25)),
+                sigma_z2=0.01,
+                sent=grid,
+            )
+
+    def test_dither_grids_match_the_up_front_draw(
+        self, desk_channel, desk_perfect, qam4, monkeypatch
+    ):
+        # each sweep draws its grid when it runs, and the grids are those of
+        # drawing every real part, then every imaginary part, before the first
+        params = desk_channel.params
+        rng = np.random.default_rng(26)
+        grid, seq = _frame(params, qam4, rng)
+        received = apply_channel(desk_channel, seq, 0.3, rng)
+        cfg = DetectorConfig(kind="mrc_sd", n_ite=5)
+        grids = []
+        sweep = detectors.run_iteration
+
+        def recording(*args, dither=None, **kwargs):
+            grids.append(dither.copy())
+            sweep(*args, dither=dither, **kwargs)
+
+        monkeypatch.setattr(detectors, "run_iteration", recording)
+        run_detector(
+            received, desk_perfect, cfg, qam4, np.random.default_rng(27),
+            sigma_z2=0.09, sent=grid,
+        )
+        ref = np.random.default_rng(27)
+        delta = cfg.resolved_delta(qam4)
+        shape = (cfg.n_ite, params.n_delay, params.n_doppler)
+        expected = ref.uniform(-delta, delta, shape) + 1j * ref.uniform(
+            -delta, delta, shape
+        )
+        # compared as raw bits, so even the sign of a zero must agree
+        assert np.array_equal(np.array(grids).view(np.uint64), expected.view(np.uint64))
+
+    def test_mrc_sd_peak_stays_near_mrc(self, paper_frame):
+        # drawn up front, the n_ite dither grids of a paper frame added about
+        # 4 MB to mrc_sd's traced peak; drawn per sweep, one grid is alive
+        ch, grid, seq, qam4 = paper_frame
+        est = EstimatedChannel.from_true(ch)
+        sz2 = 10.0 ** (-1.4)
+        received = apply_channel(ch, seq, float(np.sqrt(sz2)), np.random.default_rng(37))
+        peaks = {}
+        for kind in ("mrc", "mrc_sd"):
+            tracemalloc.start()
+            try:
+                run_detector(
+                    received, est, DetectorConfig(kind), qam4,
+                    np.random.default_rng(38), sigma_z2=sz2, sent=grid,
+                )
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["mrc_sd"] - peaks["mrc"] <= 0.5 * 2**20, peaks
 
 
 def _row_oracle(state, combine, m, sigma_z2):
@@ -706,7 +785,7 @@ class TestLaneWindows:
         known = None
         if pilot:
             known = np.zeros(m_count, dtype=bool)
-            known[PilotConfig(1.0).guard_rows(params)] = True
+            known[guard_rows(params)] = True
         state = init_estimates(
             received, est, "zeros", sz2, known_rows=known, known_grid=grid.entries
         )

@@ -446,12 +446,15 @@ class TestCli:
             ("sinr", "snr_db = 10\ndetector =\n", [], "sinr mode needs at least one"),
             ("evolve", "snr_db = 10\ndetector =\n", [], "evolve mode needs at least"),
             ("ber", "snr_db = 10\ndetector = mrc, mrc\n", [], "'mrc' is listed twice"),
+            # a value that does not parse named no key
+            ("ber", "snr_db = 10\nm = \n", [], "key 'm': invalid literal for int()"),
+            ("ber", "snr_db = 10, x\n", [], "key 'snr_db': could not convert"),
         ],
         ids=[
             "bad-value", "negative-seed", "missing-config", "key-twice", "sinr-mrc_sd",
             "ber-estimated-inf", "est-stats-inf", "sinr-soft-inf", "evolve-soft-inf",
             "empty-snr_db", "ber-no-detector", "sinr-no-detector", "evolve-no-detector",
-            "detector-twice",
+            "detector-twice", "bad-int", "bad-float",
         ],
     )
     def test_configuration_error_is_a_usage_error(

@@ -7,12 +7,13 @@ from oddmsim import (
     DDGrid,
     EstimatedChannel,
     ModemParams,
-    PilotConfig,
     apply_channel,
+    data_cell_count,
     dd_to_time,
     embed_pilot,
     estimate_channel,
     gains_from_estimate,
+    guard_rows,
     perturb_channel,
     pilot_amplitude_for_snr,
     time_to_dd,
@@ -28,45 +29,70 @@ def _single_path(p, l=2, k=-3, h=0.7 - 0.2j):
     return DiscreteChannel([DDPath(l, k, h)], p)
 
 
+# (M, N, max_delay): the usual test frame, a small one, no delay spread on an
+# odd Doppler axis, and odd axes
+EMBED_FRAMES = [(32, 8, 4), (16, 4, 2), (8, 5, 0), (9, 7, 3)]
+
+
 class TestEmbed:
     def test_pilot_in_middle_and_guards_zero(self):
         p = _params()
-        cfg = PilotConfig(amplitude=5.0)
-        data = np.ones(cfg.data_cell_count(p), dtype=complex)
-        grid = embed_pilot(data, cfg, p).entries
+        data = np.ones(data_cell_count(p), dtype=complex)
+        grid = embed_pilot(data, 5.0, p).entries
         assert grid[16, 4] == 5.0
-        guard = grid[cfg.guard_rows(p)].copy()
-        guard[16 - cfg.guard_rows(p)[0], 4] = 0
+        guard = grid[guard_rows(p)].copy()
+        guard[16 - guard_rows(p)[0], 4] = 0
         assert np.all(guard == 0)
 
     def test_data_cell_count(self):
         p = _params()
-        cfg = PilotConfig(amplitude=1.0)
-        assert cfg.data_cell_count(p) == p.frame_len - p.n_doppler * 9
+        assert data_cell_count(p) == p.frame_len - p.n_doppler * 9
 
     def test_data_fills_row_major(self):
         p = _params(m=16, n=4, lmax=2)
-        cfg = PilotConfig(amplitude=9.0)
-        data = np.arange(1, cfg.data_cell_count(p) + 1, dtype=complex)
-        grid = embed_pilot(data, cfg, p).entries
-        mask = cfg.data_mask(p)
-        np.testing.assert_array_equal(grid[mask].real, np.arange(1, mask.sum() + 1))
+        data = np.arange(1, data_cell_count(p) + 1, dtype=complex)
+        grid = embed_pilot(data, 9.0, p).entries
+        np.testing.assert_array_equal(grid[[0, 1, 2, 3, 4, 5]].real.ravel(), data[:24].real)
+        np.testing.assert_array_equal(grid[11:].real.ravel(), data[24:].real)
 
     def test_wrong_data_count(self):
         p = _params()
-        cfg = PilotConfig(amplitude=1.0)
         with pytest.raises(ValueError):
-            embed_pilot(np.zeros(3), cfg, p)
+            embed_pilot(np.zeros(3), 1.0, p)
+
+    @pytest.mark.parametrize(
+        "frame", EMBED_FRAMES, ids=[f"{m}x{n}-l{l}" for m, n, l in EMBED_FRAMES]
+    )
+    def test_guard_rows_count_and_data_cells_agree(self, frame):
+        p = _params(*frame)
+        mp, npil = p.n_delay // 2, p.n_doppler // 2
+        rows = guard_rows(p)
+        np.testing.assert_array_equal(
+            rows, np.arange(mp - p.max_delay, mp + p.max_delay + 1)
+        )
+        data_rows = np.setdiff1d(np.arange(p.n_delay), rows)
+        assert data_cell_count(p) == data_rows.size * p.n_doppler
+        # distinct nonzero data fill the rows off the guard band, row-major;
+        # the guard band holds the pilot alone, in the middle of the grid
+        data = np.arange(1, data_cell_count(p) + 1, dtype=complex)
+        grid = embed_pilot(data, 9.0, p).entries
+        np.testing.assert_array_equal(grid[data_rows].ravel(), data)
+        guard = grid[rows]
+        assert guard[mp - rows[0], npil] == 9.0
+        assert np.count_nonzero(guard) == 1
+        for count in (data.size - 1, data.size + 1):
+            with pytest.raises(ValueError, match="data symbols"):
+                embed_pilot(np.zeros(count), 9.0, p)
 
 
 class TestEstimate:
     def test_noiseless_single_path_recovery(self):
         p = _params()
-        cfg = PilotConfig(amplitude=8.0)
+        amp = 8.0
         ch = _single_path(p)
-        frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
+        frame = embed_pilot(np.zeros(data_cell_count(p)), amp, p)
         received = time_to_dd(apply_channel(ch, dd_to_time(frame), 0.0))
-        est = estimate_channel(received, cfg)
+        est = estimate_channel(received, amp)
         half = p.n_doppler // 2
         assert abs(est.taps[2, -3 + half] - (0.7 - 0.2j)) < 1e-12
         rest = est.taps.copy()
@@ -77,11 +103,11 @@ class TestEstimate:
     def test_phase_divisor_convention(self):
         # read-off at Doppler offset k divides by x_pilot * exp(j*2*pi*m_p*k/(MN))
         p = ModemParams(n_delay=512, n_doppler=32, max_delay=4)
-        cfg = PilotConfig(amplitude=3.0)
+        amp = 3.0
         grid = np.zeros((512, 32), dtype=complex)
         mp, npi = 256, 16
         grid[mp + 1, npi + 1] = 1.0
-        est = estimate_channel(DDGrid(grid, p), cfg)
+        est = estimate_channel(DDGrid(grid, p), amp)
         half = 16
         expected = 1.0 / (3.0 * np.exp(2j * np.pi * 256 * 1 / 16384))
         assert abs(est.taps[1, 1 + half] - expected) < 1e-14
@@ -89,9 +115,9 @@ class TestEstimate:
     def test_noisy_error_variance_law(self):
         # Var(dh) = sigma_z^2 / P_pilot_dd over the read window
         p = _params()
-        cfg = PilotConfig(amplitude=10.0)
+        amp = 10.0
         ch = _single_path(p)
-        frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
+        frame = embed_pilot(np.zeros(data_cell_count(p)), amp, p)
         clean = dd_to_time(frame)
         rng = np.random.default_rng(31)
         sz = 0.4
@@ -103,7 +129,7 @@ class TestEstimate:
         trials = 10_000
         for _ in range(trials):
             noisy = apply_channel(ch, clean, sz, rng)
-            est = estimate_channel(time_to_dd(noisy), cfg)
+            est = estimate_channel(time_to_dd(noisy), amp)
             err = est.taps - true
             acc += float(np.sum(np.abs(err) ** 2))
             count += err.size
@@ -194,10 +220,9 @@ class TestPowerAccounting:
         sz2 = 0.1
         p8 = _params(m=32, n=8, lmax=4)
         p16 = _params(m=32, n=16, lmax=4)
-        amp = pilot_amplitude_for_snr(30.0, sz2, p8)
-        cfg = PilotConfig(amplitude=amp)
-        snr8 = cfg.dd_power / p8.n_doppler / sz2
-        snr16 = cfg.dd_power / p16.n_doppler / sz2
+        p_dd = pilot_amplitude_for_snr(30.0, sz2, p8) ** 2
+        snr8 = p_dd / p8.n_doppler / sz2
+        snr16 = p_dd / p16.n_doppler / sz2
         assert snr8 == pytest.approx(2 * snr16)
         assert 10 * np.log10(snr8) == pytest.approx(30.0)
 
@@ -205,19 +230,19 @@ class TestPowerAccounting:
         # pilot-based estimation and the synthetic injector agree in mean and
         # per-entry variance
         p = _params(m=32, n=8, lmax=4)
-        cfg = PilotConfig(amplitude=12.0)
+        amp = 12.0
         ch = _single_path(p)
-        frame = embed_pilot(np.zeros(cfg.data_cell_count(p)), cfg, p)
+        frame = embed_pilot(np.zeros(data_cell_count(p)), amp, p)
         clean = dd_to_time(frame)
         rng = np.random.default_rng(23)
         sz = 0.3
-        sigma2 = sz**2 / cfg.dd_power
+        sigma2 = sz**2 / amp**2
         cell = (3, 5)
         a = np.empty(10_000, dtype=complex)
         b = np.empty(10_000, dtype=complex)
         for t in range(10_000):
             noisy = apply_channel(ch, clean, sz, rng)
-            a[t] = estimate_channel(time_to_dd(noisy), cfg).taps[cell]
+            a[t] = estimate_channel(time_to_dd(noisy), amp).taps[cell]
             b[t] = perturb_channel(ch, sigma2, rng).taps[cell]
         assert abs(np.mean(a) - np.mean(b)) < 0.05 * np.sqrt(sigma2)
         assert abs(np.var(a) - np.var(b)) < 0.05 * sigma2
