@@ -114,22 +114,18 @@ class ChannelMoments:
         return self.l_max * (self.l_max + 1) // 2
 
 
-def _own_vectors(table: np.ndarray) -> np.ndarray:
-    """own[l, q] = g[l, (q+l) mod MN] for l = 0..l_max."""
-    lm1 = table.shape[0]
-    own = np.empty_like(table)
-    for l in range(lm1):
-        own[l] = np.roll(table[l], -l)
-    return own
-
-
 def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
-    """Precompute the per-q sums the closed-form SINR expressions consume."""
+    """Precompute the per-q sums the closed-form SINR expressions consume.
+
+    g_q[l] = g[l, (q+l) mod MN]: each product is formed on rows of the channel's
+    gain table and then rolled by -l, so no rolled copy of the table is held.
+    """
     table = ch.gain_table()
     mn = ch.params.frame_len
     lm = ch.l_max
-    own = _own_vectors(table)
-    abs_own2 = np.abs(own) ** 2
+    abs_own2 = np.empty(table.shape)
+    for l in range(lm + 1):
+        abs_own2[l] = np.abs(np.roll(table[l], -l)) ** 2
     energy = abs_own2.sum(axis=0)
 
     # tap rows off the support are exact zeros, so the terms they would add
@@ -145,9 +141,9 @@ def channel_moments(ch: DiscreteChannel) -> ChannelMoments:
         for l in range(max(0, dl), min(lm, lm + dl) + 1):
             if l - dl not in support:
                 continue
-            vec = np.roll(table[l - dl], -l)  # g_{q,dl}[l] over q
-            c_acc += np.conj(own[l]) * vec
-            branch[side] += np.abs(vec) ** 2
+            # g_q[l]^* g_{q,dl}[l] and |g_{q,dl}[l]|^2 over q
+            c_acc += np.roll(np.conj(table[l]) * table[l - dl], -l)
+            branch[side] += np.roll(np.abs(table[l - dl]) ** 2, -l)
         cross[side] += np.abs(c_acc) ** 2
     # tap l is paired with the l_max - l offsets dl < 0 and the l offsets dl > 0
     taps = np.arange(lm + 1)

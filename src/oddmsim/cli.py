@@ -47,21 +47,21 @@ def main(argv=None) -> int:
             raise ValueError("configuration has an empty snr_db grid")
         if not cfg.detectors and args.mode != "est-stats":
             raise ValueError(f"{args.mode} mode needs at least one detector")
+        out = open(args.out, "w") if args.out else sys.stdout
     except (ValueError, OSError) as exc:
-        # a bad, unreadable or, for this mode, unrunnable configuration: one
-        # usage and error line and exit code 2, before any output file is opened
+        # a bad, unreadable or unrunnable configuration, checked before --out
+        # is opened, or an --out open() refuses: one usage and error line, exit 2
         parser.error(str(exc))
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            run_sweep(cfg, args.mode, out=fh)
-        return 0
     try:
-        run_sweep(cfg, args.mode, out=sys.stdout)
+        run_sweep(cfg, args.mode, out=out)
     except BrokenPipeError:
         # the reader left (| head): keep the flush at exit quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if args.out:
+            out.close()
     return 0
 
 

@@ -512,8 +512,7 @@ def est_stats_point(cfg: SimConfig, snr_db: float, point_idx: int = 0):
         dh = est.taps - channel_taps(ch)
         dh_acc += float(np.sum(np.abs(dh) ** 2))
         n_cells += dh.size
-        dg = est.gains - ch.gain_table()
-        dg_sub = dg[:, ::_GAIN_ERROR_STRIDE]
+        dg_sub = est.gains[:, ::_GAIN_ERROR_STRIDE] - ch.gain_table()[:, ::_GAIN_ERROR_STRIDE]
         dg_acc += float(np.sum(np.abs(dg_sub) ** 2))
         n_gcells += dg_sub.size
     var_dh_theory = sigma_z2 / abs(amp) ** 2
@@ -539,7 +538,8 @@ def check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
     sweep fails before its first row; sinr_point calls it for its one
     detector. The noiseless point snr_db = inf is rejected where a sweep
     needs noise: to size the estimated pilot (ber, est-stats) or in the
-    soft-cancellation closed forms (sinr, evolve).
+    soft-cancellation closed forms (sinr, evolve). An estimated-pilot ber
+    sweep needs a data row off the guard band; est-stats sends the pilot alone.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -553,6 +553,8 @@ def check_sweep(cfg: SimConfig, mode: str, kinds) -> None:
     )
     if noiseless and pilot_from_noise:
         raise ValueError(f"{mode} mode sizes its pilot from the noise: no snr_db = inf")
+    if mode == "ber" and cfg.pilot_mode == "estimated" and not data_cell_count(cfg.params):
+        raise ValueError(f"the guard band fills all n_delay={cfg.n_delay} rows: no data")
     exact_csi = cfg.sigma_dg2 == 0.0
     for kind in kinds:
         if mode == "sinr" and kind not in _SINR_KINDS:

@@ -449,12 +449,20 @@ class TestCli:
             # a value that does not parse named no key
             ("ber", "snr_db = 10\nm = \n", [], "key 'm': invalid literal for int()"),
             ("ber", "snr_db = 10, x\n", [], "key 'snr_db': could not convert"),
+            # a guard band over every delay row left no data bits, and the
+            # sweep ran to max_frames and printed a BER of 0 on none
+            (
+                "ber",
+                "snr_db = 10\nm = 17\npilot_mode = estimated\nsnr_pilot_db = 40\n",
+                [],
+                "guard band fills all n_delay=17 rows: no data",
+            ),
         ],
         ids=[
             "bad-value", "negative-seed", "missing-config", "key-twice", "sinr-mrc_sd",
             "ber-estimated-inf", "est-stats-inf", "sinr-soft-inf", "evolve-soft-inf",
             "empty-snr_db", "ber-no-detector", "sinr-no-detector", "evolve-no-detector",
-            "detector-twice", "bad-int", "bad-float",
+            "detector-twice", "bad-int", "bad-float", "ber-estimated-no-data-row",
         ],
     )
     def test_configuration_error_is_a_usage_error(
@@ -472,6 +480,31 @@ class TestCli:
         assert err[0].startswith("usage: oddmsim")
         assert err[1].startswith("oddmsim: error: ") and message in err[1]
         assert not outfile.exists()
+
+    def test_est_stats_runs_on_an_all_guard_frame(self, tmp_path):
+        # est-stats measures a pilot-only frame, which needs no data row
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("snr_db = 10\nm = 17\nsnr_pilot_db = 40\nest_trials = 2\n")
+        outfile = tmp_path / "out.csv"
+        rc = cli_main(["est-stats", "--config", str(cfgfile), "--out", str(outfile)])
+        assert rc == 0
+        lines = outfile.read_text().strip().splitlines()
+        assert lines[0] == h.EST_HEADER
+        assert len(lines) == 2
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unopenable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        # open() failing on --out ended in a traceback and exit code 1
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("snr_db = 10\ndetector = mrc\nmax_frames = 1\n")
+        out = tmp_path / "no-such-dir" / "out.csv" if target == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ber", "--config", str(cfgfile), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("usage: oddmsim")
+        assert err[1].startswith("oddmsim: error: ") and str(out) in err[1]
 
     def test_error_after_the_header_propagates(self, tmp_path, monkeypatch):
         # only the configuration is a usage error; a failure during the sweep
